@@ -7,6 +7,7 @@
 //  * Data/n sweep at k = 2: polynomial in |D|.
 #include <benchmark/benchmark.h>
 
+#include "common/obs.h"
 #include "common/rng.h"
 #include "eval/generic_eval.h"
 #include "workloads/db_gen.h"
@@ -15,22 +16,31 @@
 namespace ecrpq {
 namespace {
 
+// Product states one evaluation expands, from an instrumented run outside
+// the timing loop.
+double ProductStates(const GraphDb& db, const EcrpqQuery& query) {
+  obs::Session session;
+  EvalOptions options;
+  options.obs = &session;
+  EvaluateGeneric(db, query, options).ValueOrDie();
+  return static_cast<double>(
+      session.Report()[obs::CounterId::kProductStatesExpanded]);
+}
+
 void BM_PspaceStarWidth(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   Rng rng(7);
   const GraphDb db = LayeredDag(&rng, 4, 4, 2, 2);
   const EcrpqQuery query =
       EqLenStarQuery(Alphabet::OfChars("ab"), k).ValueOrDie();
-  size_t product_states = 0;
   bool satisfiable = false;
   for (auto _ : state) {
     EvalResult result = EvaluateGeneric(db, query).ValueOrDie();
-    product_states = result.stats.product_states;
     satisfiable = result.satisfiable;
     benchmark::DoNotOptimize(result);
   }
   state.counters["cc_vertex"] = k;
-  state.counters["product_states"] = static_cast<double>(product_states);
+  state.counters["product_states"] = ProductStates(db, query);
   state.counters["satisfiable"] = satisfiable ? 1 : 0;
 }
 BENCHMARK(BM_PspaceStarWidth)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
@@ -41,14 +51,12 @@ void BM_PspaceDataScaling(benchmark::State& state) {
   const GraphDb db = LayeredDag(&rng, 4, width, 2, 2);
   const EcrpqQuery query =
       EqLenStarQuery(Alphabet::OfChars("ab"), 2).ValueOrDie();
-  size_t product_states = 0;
   for (auto _ : state) {
     EvalResult result = EvaluateGeneric(db, query).ValueOrDie();
-    product_states = result.stats.product_states;
     benchmark::DoNotOptimize(result);
   }
   state.counters["vertices"] = db.NumVertices();
-  state.counters["product_states"] = static_cast<double>(product_states);
+  state.counters["product_states"] = ProductStates(db, query);
 }
 BENCHMARK(BM_PspaceDataScaling)
     ->RangeMultiplier(2)

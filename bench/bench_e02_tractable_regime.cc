@@ -10,22 +10,28 @@
 
 #include "common/obs.h"
 #include "common/rng.h"
-#include "eval/reduce_to_cq.h"
+#include "eval/planner.h"
 #include "graphdb/generators.h"
 #include "workloads/query_gen.h"
 
 namespace ecrpq {
 namespace {
 
+// The Lemma 4.3 pipeline with the tree-decomposition CQ engine.
+EvalResult EvaluateTractable(const GraphDb& db, const EcrpqQuery& query,
+                             obs::Session* obs = nullptr) {
+  EvalOptions options;
+  options.engine = EngineChoice::kCqReduction;
+  options.obs = obs;
+  return EvaluatePlanned(db, query, options).ValueOrDie();
+}
+
 // One instrumented run outside the timing loop: export the pipeline metrics
 // into the benchmark's user counters (and through them into BENCH_*.json).
 void ExportPipelineCounters(benchmark::State& state, const GraphDb& db,
                             const EcrpqQuery& query) {
   obs::Session session;
-  ReduceOptions options;
-  options.obs = &session;
-  EvaluateViaCqReduction(db, query, /*use_treedec=*/true, options)
-      .ValueOrDie();
+  EvaluateTractable(db, query, &session);
   const obs::StatsReport report = session.Report();
   state.counters["product_states_expanded"] = static_cast<double>(
       report[obs::CounterId::kProductStatesExpanded]);
@@ -42,7 +48,7 @@ void BM_TractableQueryLength(benchmark::State& state) {
       ChainEqLenQuery(db.alphabet(), length).ValueOrDie();
   bool satisfiable = false;
   for (auto _ : state) {
-    EvalResult result = EvaluateViaCqReduction(db, query).ValueOrDie();
+    EvalResult result = EvaluateTractable(db, query);
     satisfiable = result.satisfiable;
     benchmark::DoNotOptimize(result);
   }
@@ -71,7 +77,7 @@ void BM_TractableDataScaling(benchmark::State& state) {
   const GraphDb db = CycleGraph(n, "ab");
   const EcrpqQuery query = ChainEqLenQuery(db.alphabet(), 4).ValueOrDie();
   for (auto _ : state) {
-    EvalResult result = EvaluateViaCqReduction(db, query).ValueOrDie();
+    EvalResult result = EvaluateTractable(db, query);
     benchmark::DoNotOptimize(result);
   }
   state.counters["vertices"] = n;

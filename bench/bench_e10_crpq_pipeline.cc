@@ -6,8 +6,7 @@
 
 #include "automata/regex.h"
 #include "common/rng.h"
-#include "eval/crpq_eval.h"
-#include "eval/generic_eval.h"
+#include "eval/planner.h"
 #include "graphdb/generators.h"
 #include "graphdb/rpq_reach.h"
 #include "query/parser.h"
@@ -63,10 +62,11 @@ void RunChainCrpq(benchmark::State& state, bool fast_path) {
       ParseEcrpq("q() := x -[/a*b/]-> y, y -[/b*a/]-> z, z -[/(ab)*/]-> w",
                  Alphabet::OfChars("ab"))
           .ValueOrDie();
+  EvalOptions options;
+  options.engine =
+      fast_path ? EngineChoice::kCrpqPipeline : EngineChoice::kGeneric;
   for (auto _ : state) {
-    EvalResult result =
-        (fast_path ? EvaluateCrpq(db, query) : EvaluateGeneric(db, query))
-            .ValueOrDie();
+    EvalResult result = EvaluatePlanned(db, query, options).ValueOrDie();
     benchmark::DoNotOptimize(result);
   }
   state.counters["vertices"] = n;

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "eval/adaptive.h"
 #include "eval/planner.h"
-#include "eval/reduce_to_cq.h"
 #include "workloads/db_gen.h"
 #include "workloads/query_gen.h"
 
@@ -57,9 +56,11 @@ BENCHMARK(BM_ForcedGeneric)->Unit(benchmark::kMillisecond);
 void BM_ForcedCqReduction(benchmark::State& state) {
   const GraphDb db = Db();
   const std::vector<EcrpqQuery> batch = MixedBatch();
+  EvalOptions options;
+  options.engine = EngineChoice::kCqReduction;
   for (auto _ : state) {
     for (const EcrpqQuery& q : batch) {
-      EvalResult result = EvaluateViaCqReduction(db, q).ValueOrDie();
+      EvalResult result = EvaluatePlanned(db, q, options).ValueOrDie();
       benchmark::DoNotOptimize(result);
     }
   }

@@ -30,17 +30,18 @@ void RunAblation(benchmark::State& state, bool disable_memo) {
   const EcrpqQuery query = SharedMiddleQuery();
   EvalOptions options;
   options.disable_memo = disable_memo;
-  size_t product_states = 0;
-  // Per-evaluation memo effectiveness, from a fresh session each iteration
-  // so the export is a per-evaluation figure, not a running total.
+  // Per-evaluation product states and memo effectiveness, from a fresh
+  // session each iteration so the export is a per-evaluation figure, not a
+  // running total.
+  uint64_t product_states = 0;
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   for (auto _ : state) {
     obs::Session session;
     options.obs = &session;
     EvalResult result = EvaluateGeneric(db, query, options).ValueOrDie();
-    product_states = result.stats.product_states;
     const obs::StatsReport report = session.Report();
+    product_states = report[obs::CounterId::kProductStatesExpanded];
     memo_hits = report[obs::CounterId::kMemoHits];
     memo_misses = report[obs::CounterId::kMemoMisses];
     benchmark::DoNotOptimize(result);

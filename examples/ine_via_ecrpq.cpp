@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "automata/ine.h"
+#include "common/obs.h"
 #include "eval/generic_eval.h"
 #include "reductions/ine_to_ecrpq.h"
 #include "workloads/db_gen.h"
@@ -25,7 +26,11 @@ int main() {
     // Reduction + ECRPQ evaluation (case 1: one 3-ary hyperedge).
     Result<IneReduction> reduction = IneToEcrpq(ine, IneWitnessShapeCase1(3));
     reduction.status().Check();
-    Result<EvalResult> eval = EvaluateGeneric(reduction->db, reduction->query);
+    obs::Session session;
+    EvalOptions options;
+    options.obs = &session;
+    Result<EvalResult> eval =
+        EvaluateGeneric(reduction->db, reduction->query, options);
     eval.status().Check();
 
     std::printf("instance %d (%s): direct=%s  via-ECRPQ=%s  %s\n", trial,
@@ -35,9 +40,11 @@ int main() {
                 direct.non_empty == eval->satisfiable ? "AGREE" : "MISMATCH");
     std::printf(
         "  reduction: |D| = %d vertices, %zu edges; query: %d path vars; "
-        "product states explored: %zu\n",
+        "product states explored: %llu\n",
         reduction->db.NumVertices(), reduction->db.NumEdges(),
-        reduction->query.NumPathVars(), eval->stats.product_states);
+        reduction->query.NumPathVars(),
+        static_cast<unsigned long long>(
+            session.Report()[obs::CounterId::kProductStatesExpanded]));
     if (direct.non_empty) {
       std::printf("  witness length: %zu\n", direct.witness.size());
     }

@@ -4,11 +4,8 @@
 // Beyond the single-bit accessors, the class exposes word-parallel sweeps
 // for the hot paths of the parallel runtime: bulk OrAssign / AndAssign /
 // DifferenceAssign over 64-bit words and set-bit iteration via
-// std::countr_zero (ForEachSetBit). The bulk operators have an optional
-// AVX2 path, compiled only when the translation unit is built with AVX2
-// support AND the ECRPQ_BITSET_AVX2 feature macro is defined; the scalar
-// word loop is the portable default and the semantics are identical (the
-// bitset tests property-check both against a bit-at-a-time reference).
+// std::countr_zero (ForEachSetBit). The bitset tests property-check the
+// bulk operators against a bit-at-a-time reference.
 #ifndef ECRPQ_COMMON_BITSET_H_
 #define ECRPQ_COMMON_BITSET_H_
 
@@ -18,13 +15,6 @@
 #include <vector>
 
 #include "common/check.h"
-
-#if defined(ECRPQ_BITSET_AVX2) && defined(__AVX2__)
-#include <immintrin.h>
-#define ECRPQ_BITSET_HAVE_AVX2 1
-#else
-#define ECRPQ_BITSET_HAVE_AVX2 0
-#endif
 
 namespace ecrpq {
 
@@ -85,19 +75,19 @@ class DynamicBitset {
   // this |= o.
   void OrAssign(const DynamicBitset& o) {
     ECRPQ_DCHECK(size_ == o.size_);
-    BulkOr(words_.data(), o.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
   }
 
   // this &= o.
   void AndAssign(const DynamicBitset& o) {
     ECRPQ_DCHECK(size_ == o.size_);
-    BulkAnd(words_.data(), o.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
   }
 
   // this &= ~o (set difference).
   void DifferenceAssign(const DynamicBitset& o) {
     ECRPQ_DCHECK(size_ == o.size_);
-    BulkAndNot(words_.data(), o.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~o.words_[i];
   }
 
   // Calls fn(i) for every set bit i in increasing order. One countr_zero
@@ -136,52 +126,6 @@ class DynamicBitset {
   bool operator==(const DynamicBitset&) const = default;
 
  private:
-  static void BulkOr(uint64_t* dst, const uint64_t* src, size_t n) {
-    size_t i = 0;
-#if ECRPQ_BITSET_HAVE_AVX2
-    for (; i + 4 <= n; i += 4) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_or_si256(a, b));
-    }
-#endif
-    for (; i < n; ++i) dst[i] |= src[i];
-  }
-
-  static void BulkAnd(uint64_t* dst, const uint64_t* src, size_t n) {
-    size_t i = 0;
-#if ECRPQ_BITSET_HAVE_AVX2
-    for (; i + 4 <= n; i += 4) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_and_si256(a, b));
-    }
-#endif
-    for (; i < n; ++i) dst[i] &= src[i];
-  }
-
-  static void BulkAndNot(uint64_t* dst, const uint64_t* src, size_t n) {
-    size_t i = 0;
-#if ECRPQ_BITSET_HAVE_AVX2
-    for (; i + 4 <= n; i += 4) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-      // andnot(b, a) == a & ~b.
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_andnot_si256(b, a));
-    }
-#endif
-    for (; i < n; ++i) dst[i] &= ~src[i];
-  }
-
   void TrimLast() {
     if (size_ % 64 != 0 && !words_.empty()) {
       words_.back() &= (uint64_t{1} << (size_ % 64)) - 1;

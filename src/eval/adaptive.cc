@@ -3,18 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
+#include "eval/engines.h"
+
 namespace ecrpq {
 
 Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
                                     const EcrpqQuery& query,
                                     const AdaptiveOptions& options,
                                     AdaptiveReport* report) {
+  if (options.eval.engine.has_value()) {
+    return Status::Invalid("EvaluateAdaptive picks its own engines");
+  }
   const QueryClassification classification =
       ClassifyQuery(query, options.thresholds);
   if (report != nullptr) {
     report->classification = classification;
     report->fell_back = false;
   }
+  // Reject up front what the fallback engine could not honour, so that
+  // adaptive accepts exactly the options the planner's route accepts.
+  ECRPQ_RETURN_NOT_OK(CheckEngineOptions(classification.engine, options.eval));
 
   // Phase-1 budget: enough to cover an easy instance's reachable product
   // space, small enough to bail out before exponential blowup.
@@ -28,23 +36,28 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
       std::max<size_t>(1, static_cast<size_t>(std::min(raw, 1e9)));
   if (report != nullptr) report->phase1_budget = budget;
 
-  EvalOptions phase1 = options.eval;
-  phase1.max_product_states = budget;
-  ECRPQ_ASSIGN_OR_RAISE(EvalResult lazy, EvaluateGeneric(db, query, phase1));
-  if (!lazy.aborted) return lazy;
-
-  // Phase 2: regime-prescribed engine, unbudgeted.
-  if (report != nullptr) {
-    report->fell_back = true;
-    report->fallback_engine = classification.engine;
+  // Both phases stream through one deliverer: phase 2 must not re-deliver
+  // what phase 1 streamed before it hit the budget.
+  internal::DeliverOnce deliver;
+  EvalOptions phase1 = deliver.Wrap(options.eval);
+  if (phase1.max_product_states == 0 || phase1.max_product_states > budget) {
+    phase1.max_product_states = budget;  // A tighter caller cap still holds.
   }
-  if (classification.engine == EngineChoice::kGeneric) {
-    // PSPACE regime: nothing structurally better; lift the budget.
-    EvalOptions unbounded = options.eval;
-    unbounded.max_product_states = 0;
-    return EvaluateGeneric(db, query, unbounded);
+  ECRPQ_ASSIGN_OR_RAISE(EvalResult result, EvaluateGeneric(db, query, phase1));
+  if (result.aborted && !deliver.stopped) {
+    // Phase 2: the regime-prescribed engine under the caller's options
+    // alone (PSPACE regime: the generic engine without the phase-1 budget).
+    if (report != nullptr) {
+      report->fell_back = true;
+      report->fallback_engine = classification.engine;
+    }
+    EvalOptions phase2 = deliver.Wrap(options.eval);
+    phase2.engine = classification.engine;
+    ECRPQ_ASSIGN_OR_RAISE(
+        result, EvaluatePlanned(db, query, phase2, options.thresholds));
   }
-  return EvaluatePlanned(db, query, options.eval, options.thresholds);
+  result.answers.assign(deliver.delivered.begin(), deliver.delivered.end());
+  return result;
 }
 
 }  // namespace ecrpq

@@ -12,6 +12,10 @@
 //      prescribes for the query's regime (pipeline engines materialize
 //      bottom-up and are immune to unlucky search orders; in the PSPACE
 //      regime there is nothing better, so the budget is lifted instead).
+//
+// `eval` must leave `engine` unset and is checked against the planner's
+// engine for the query (CheckEngineOptions) before phase 1. Its own
+// max_product_states caps both phases; on_answer sees each answer once.
 #ifndef ECRPQ_EVAL_ADAPTIVE_H_
 #define ECRPQ_EVAL_ADAPTIVE_H_
 
@@ -25,7 +29,7 @@ struct AdaptiveOptions {
   // Budget for phase 1 as a multiple of |V|^min(cc_vertex, cap) · cc_hedge.
   double budget_factor = 64.0;
   int cc_vertex_cap = 2;
-  EvalOptions eval;                 // max_answers etc.
+  EvalOptions eval;                 // max_answers, on_answer etc.
   PlannerThresholds thresholds;
 };
 

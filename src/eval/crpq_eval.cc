@@ -1,23 +1,21 @@
-#include "eval/crpq_eval.h"
+#include "eval/engines.h"
 
 #include <string>
 #include <vector>
 
 #include "automata/interner.h"
 #include "cq/cq.h"
-#include "cq/eval_backtrack.h"
-#include "cq/eval_treedec.h"
 #include "cq/relational_db.h"
 #include "graphdb/reach_memo.h"
 #include "graphdb/rpq_reach.h"
 #include "query/validate.h"
 #include "synchro/tape_pack.h"
 
-namespace ecrpq {
+namespace ecrpq::internal {
 
 Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
-                                bool use_treedec, size_t max_answers,
-                                obs::Session* obs, bool disable_cache) {
+                                const EvalOptions& options) {
+  obs::Session* obs = options.obs;
   obs::Span span(obs != nullptr ? obs->trace() : nullptr, "EvaluateCrpq");
   obs::MetricsShard* shard =
       obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
@@ -89,11 +87,11 @@ Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
       // interned (normalized) automaton yields byte-identical rows.
       obs::ScopedTimer reduce_timer(shard, obs::HistogramId::kPhaseReduceNs);
       const std::vector<std::pair<VertexId, VertexId>> rows =
-          disable_cache
-              ? RpqReachAll(db, lang, /*num_threads=*/0, obs)
+          options.disable_cache
+              ? RpqReachAll(db, lang, options.num_threads, obs)
               : RpqReachAllCached(
                     db, AutomatonInterner::Global().Intern(lang, shard),
-                    /*num_threads=*/0, obs);
+                    options.num_threads, obs);
       for (const auto& [u, v] : rows) {
         const uint32_t row[2] = {u, v};
         rel->Add(row);
@@ -106,20 +104,7 @@ Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
     cq.atoms.push_back(CqAtom{name, {atom.from, atom.to}});
   }
   rdb.FinalizeAll();
-
-  CqEvalOptions options;
-  options.max_answers = query.IsBoolean() ? 1 : max_answers;
-  options.obs = obs;
-  ECRPQ_ASSIGN_OR_RAISE(CqEvalResult cq_result,
-                        use_treedec
-                            ? CqEvaluateTreeDec(rdb, cq, options)
-                            : CqEvaluateBacktracking(rdb, cq, options));
-  out.satisfiable = cq_result.satisfiable;
-  out.aborted = cq_result.aborted;
-  for (auto& answer : cq_result.answers) {
-    out.answers.push_back(std::move(answer));
-  }
-  return out;
+  return EvaluateCq(rdb, cq, query.IsBoolean(), options, /*use_treedec=*/true);
 }
 
-}  // namespace ecrpq
+}  // namespace ecrpq::internal

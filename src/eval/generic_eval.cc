@@ -216,7 +216,6 @@ struct Engine {
       return;
     }
     for (const std::vector<VertexId>& targets : reach.targets) {
-      ++result.stats.assignments_tried;
       obs::Add(shard, obs::CounterId::kAssignmentsTried);
       std::vector<NodeVarId> newly;
       bool consistent = true;
@@ -248,7 +247,6 @@ struct Engine {
     for (VertexId value = 0;
          value < static_cast<VertexId>(db.NumVertices()) && !Stopped();
          ++value) {
-      ++result.stats.assignments_tried;
       obs::Add(shard, obs::CounterId::kAssignmentsTried);
       assignment[v] = value;
       SolveSources(comp, unassigned, idx + 1, isolated_free);
@@ -276,13 +274,6 @@ struct Engine {
       }
     }
     return unassigned;
-  }
-
-  void AccumulateSearchStats() {
-    for (const auto& searcher : searchers) {
-      result.stats.product_states += searcher->TotalExploredStates();
-      result.stats.reach_queries += searcher->NumMemoizedSources();
-    }
   }
 };
 
@@ -403,12 +394,6 @@ Result<EvalResult> EvaluateParallel(
 
   result.answers.assign(global.begin(), global.end());
   std::sort(result.answers.begin(), result.answers.end());
-  for (const auto& eng : engines) {
-    eng->AccumulateSearchStats();
-    result.stats.product_states += eng->result.stats.product_states;
-    result.stats.reach_queries += eng->result.stats.reach_queries;
-    result.stats.assignments_tried += eng->result.stats.assignments_tried;
-  }
   return result;
 }
 
@@ -416,6 +401,11 @@ Result<EvalResult> EvaluateParallel(
 
 Result<EvalResult> EvaluateGeneric(const GraphDb& db, const EcrpqQuery& query,
                                    const EvalOptions& options) {
+  if (options.engine.has_value() && *options.engine != EngineChoice::kGeneric) {
+    return Status::Invalid(
+        "EvaluateGeneric runs only the generic engine; route other engines "
+        "through EvaluatePlanned");
+  }
   obs::Span span(TraceOf(options), "EvaluateGeneric");
   ECRPQ_RETURN_NOT_OK(ValidateQueryForDb(query, db.alphabet()));
 
@@ -489,7 +479,6 @@ Result<EvalResult> EvaluateGeneric(const GraphDb& db, const EcrpqQuery& query,
 
   engine.result.answers.assign(engine.answers.begin(), engine.answers.end());
   std::sort(engine.result.answers.begin(), engine.result.answers.end());
-  engine.AccumulateSearchStats();
   return engine.result;
 }
 

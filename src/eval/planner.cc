@@ -1,11 +1,11 @@
 #include "eval/planner.h"
 
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "automata/interner.h"
-#include "eval/crpq_eval.h"
-#include "eval/reduce_to_cq.h"
+#include "eval/engines.h"
 #include "graphdb/reach_memo.h"
 #include "query/abstraction.h"
 #include "query/simplify.h"
@@ -152,30 +152,50 @@ QueryClassification ClassifyQueryCached(const EcrpqQuery& query,
   return c;
 }
 
+Status CheckEngineOptions(EngineChoice engine, const EvalOptions& options) {
+  if (engine == EngineChoice::kGeneric) return Status::OK();
+  const char* field = nullptr;
+  if (!options.pin.empty()) {
+    field = "pin";
+  } else if (options.capture_assignment) {
+    field = "capture_assignment";
+  } else if (options.disable_memo) {
+    field = "disable_memo";
+  } else if (engine == EngineChoice::kCrpqPipeline &&
+             options.max_product_states != 0) {
+    field = "max_product_states";
+  } else {
+    return Status::OK();
+  }
+  return Status::Invalid(std::string("engine ") + EngineChoiceName(engine) +
+                         " does not support EvalOptions::" + field);
+}
+
 Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
                                    const EvalOptions& options,
                                    const PlannerThresholds& thresholds,
                                    QueryClassification* classification_out) {
-  obs::MetricsShard* shard =
-      options.obs != nullptr ? options.obs->metrics().AcquireShard() : nullptr;
-  const QueryClassification c =
-      options.disable_cache ? ClassifyQuery(query, thresholds)
-                            : ClassifyQueryCached(query, thresholds, shard);
-  if (classification_out != nullptr) *classification_out = c;
-  ReduceOptions reduce_options;
-  reduce_options.max_product_states = options.max_product_states;
-  reduce_options.obs = options.obs;
-  switch (c.engine) {
+  std::optional<EngineChoice> engine = options.engine;
+  if (!engine.has_value()) {
+    obs::MetricsShard* shard = options.obs != nullptr
+                                   ? options.obs->metrics().AcquireShard()
+                                   : nullptr;
+    const QueryClassification c =
+        options.disable_cache ? ClassifyQuery(query, thresholds)
+                              : ClassifyQueryCached(query, thresholds, shard);
+    if (classification_out != nullptr) *classification_out = c;
+    engine = c.engine;
+  }
+  ECRPQ_RETURN_NOT_OK(CheckEngineOptions(*engine, options));
+  switch (*engine) {
     case EngineChoice::kCrpqPipeline:
-      return EvaluateCrpq(db, query, /*use_treedec=*/true,
-                          options.max_answers, options.obs,
-                          options.disable_cache);
+      return internal::EvaluateCrpq(db, query, options);
     case EngineChoice::kCqReduction:
-      return EvaluateViaCqReduction(db, query, /*use_treedec=*/true,
-                                    reduce_options, options.max_answers);
+      return internal::EvaluateViaCqReduction(db, query, options,
+                                              /*use_treedec=*/true);
     case EngineChoice::kCqReductionNp:
-      return EvaluateViaCqReduction(db, query, /*use_treedec=*/false,
-                                    reduce_options, options.max_answers);
+      return internal::EvaluateViaCqReduction(db, query, options,
+                                              /*use_treedec=*/false);
     case EngineChoice::kGeneric:
       return EvaluateGeneric(db, query, options);
   }

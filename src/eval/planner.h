@@ -47,13 +47,6 @@ struct PlannerThresholds {
   int max_treewidth = 2;
 };
 
-enum class EngineChoice {
-  kCrpqPipeline,      // Corollary 2.4: R_L materialization + tree-dec CQ.
-  kCqReduction,       // Lemma 4.3 pipeline + tree-dec CQ (poly regime).
-  kCqReductionNp,     // Lemma 4.3 pipeline + backtracking CQ (NP regime).
-  kGeneric,           // Lazy product evaluator (PSPACE regime).
-};
-
 const char* EngineChoiceName(EngineChoice e);
 
 struct QueryClassification {
@@ -96,7 +89,17 @@ PlanCache& GlobalPlanCache();
 // already make stale reach entries unreachable).
 void ClearGlobalCaches();
 
-// Classifies and routes. `classification_out` (optional) receives the plan.
+// The EvalOptions contract: InvalidArgument naming the first field `engine`
+// cannot honour, else OK. Only the generic engine takes pin,
+// capture_assignment and disable_memo; the CRPQ pipeline also rejects
+// max_product_states. Every engine honours the rest.
+Status CheckEngineOptions(EngineChoice engine, const EvalOptions& options);
+
+// The one evaluation entry point. Runs options.engine when set; otherwise
+// classifies the query (plan cache unless options.disable_cache) and runs
+// the engine the classification picks, writing the plan to
+// `classification_out` (optional; untouched when the engine is forced).
+// Options the engine cannot honour are rejected before any work starts.
 Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
                                    const EvalOptions& options = {},
                                    const PlannerThresholds& thresholds = {},

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "cq/eval_backtrack.h"
 #include "cq/eval_treedec.h"
+#include "eval/engines.h"
 #include "eval/merge.h"
 #include "graphdb/tuple_search.h"
 #include "query/validate.h"
@@ -199,35 +200,48 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
   return reduction;
 }
 
+namespace internal {
+
 Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
                                           const EcrpqQuery& query,
-                                          bool use_treedec,
-                                          const ReduceOptions& options,
-                                          size_t max_answers) {
-  EvalResult out;
+                                          const EvalOptions& options,
+                                          bool use_treedec) {
   if (db.NumVertices() == 0) {
+    EvalResult out;
     out.satisfiable = (query.NumNodeVars() == 0);
     if (out.satisfiable) out.answers.push_back({});
     return out;
   }
-  ECRPQ_ASSIGN_OR_RAISE(CqReduction reduction, ReduceToCq(db, query, options));
+  ReduceOptions reduce_options;
+  reduce_options.max_product_states = options.max_product_states;
+  reduce_options.num_threads = options.num_threads;
+  reduce_options.obs = options.obs;
+  ECRPQ_ASSIGN_OR_RAISE(CqReduction reduction,
+                        ReduceToCq(db, query, reduce_options));
+  obs::Span cq_span(TraceOf(reduce_options), "EvaluateReducedCq");
+  return EvaluateCq(*reduction.db, reduction.query, query.IsBoolean(), options,
+                    use_treedec);
+}
+
+Result<EvalResult> EvaluateCq(const RelationalDb& rdb, const CqQuery& cq,
+                              bool boolean, const EvalOptions& options,
+                              bool use_treedec) {
   CqEvalOptions cq_options;
-  cq_options.max_answers = query.IsBoolean() ? 1 : max_answers;
+  cq_options.max_answers = boolean ? 1 : options.max_answers;
   cq_options.obs = options.obs;
-  obs::Span cq_span(TraceOf(options), "EvaluateReducedCq");
-  ECRPQ_ASSIGN_OR_RAISE(
-      CqEvalResult cq_result,
-      use_treedec
-          ? CqEvaluateTreeDec(*reduction.db, reduction.query, cq_options)
-          : CqEvaluateBacktracking(*reduction.db, reduction.query,
-                                   cq_options));
+  ECRPQ_ASSIGN_OR_RAISE(CqEvalResult cq_result,
+                        use_treedec
+                            ? CqEvaluateTreeDec(rdb, cq, cq_options)
+                            : CqEvaluateBacktracking(rdb, cq, cq_options));
+  EvalResult out;
   out.satisfiable = cq_result.satisfiable;
   out.aborted = cq_result.aborted;
-  out.stats.product_states = reduction.product_states;
-  for (auto& answer : cq_result.answers) {
+  for (std::vector<VertexId>& answer : cq_result.answers) {
     out.answers.push_back(std::move(answer));
+    if (options.on_answer && !options.on_answer(out.answers.back())) break;
   }
   return out;
 }
 
+}  // namespace internal
 }  // namespace ecrpq

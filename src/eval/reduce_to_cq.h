@@ -21,7 +21,6 @@
 #include "common/result.h"
 #include "cq/cq.h"
 #include "cq/relational_db.h"
-#include "eval/generic_eval.h"
 #include "graphdb/graph_db.h"
 #include "query/ast.h"
 
@@ -54,17 +53,10 @@ struct ReduceOptions {
   obs::Session* obs = nullptr;
 };
 
+// Evaluating the reduced CQ is EvaluatePlanned's kCqReduction (tree
+// decomposition) or kCqReductionNp (backtracking) engine.
 Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
                                const ReduceOptions& options = {});
-
-// End-to-end: reduce, then evaluate the CQ with the tree-decomposition
-// engine (use_treedec) or the backtracking engine. This is the paper's
-// polynomial-time / NP pipeline for bounded-cc queries.
-Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
-                                          const EcrpqQuery& query,
-                                          bool use_treedec = true,
-                                          const ReduceOptions& options = {},
-                                          size_t max_answers = 0);
 
 }  // namespace ecrpq
 

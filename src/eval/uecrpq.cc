@@ -1,8 +1,8 @@
 #include "eval/uecrpq.h"
 
 #include <algorithm>
-#include <set>
 
+#include "eval/engines.h"
 #include "query/validate.h"
 
 namespace ecrpq {
@@ -29,26 +29,18 @@ Status ValidateUnion(const UecrpqQuery& query) {
 Result<EvalResult> EvaluateUnion(const GraphDb& db, const UecrpqQuery& query,
                                  const EvalOptions& options) {
   ECRPQ_RETURN_NOT_OK(ValidateUnion(query));
+  // Disjuncts share answers; each is streamed and counted once.
+  internal::DeliverOnce deliver;
   EvalResult merged;
-  std::set<std::vector<VertexId>> answers;
   const bool boolean = query.disjuncts[0].IsBoolean();
   for (const EcrpqQuery& disjunct : query.disjuncts) {
     ECRPQ_ASSIGN_OR_RAISE(EvalResult result,
-                          EvaluatePlanned(db, disjunct, options));
+                          EvaluatePlanned(db, disjunct, deliver.Wrap(options)));
     merged.aborted = merged.aborted || result.aborted;
     merged.satisfiable = merged.satisfiable || result.satisfiable;
-    merged.stats.product_states += result.stats.product_states;
-    answers.insert(result.answers.begin(), result.answers.end());
-    if (boolean && merged.satisfiable) break;
-    if (options.max_answers != 0 && answers.size() >= options.max_answers) {
-      break;
-    }
+    if (deliver.stopped || (boolean && merged.satisfiable)) break;
   }
-  merged.answers.assign(answers.begin(), answers.end());
-  if (options.max_answers != 0 &&
-      merged.answers.size() > options.max_answers) {
-    merged.answers.resize(options.max_answers);
-  }
+  merged.answers.assign(deliver.delivered.begin(), deliver.delivered.end());
   return merged;
 }
 

@@ -17,9 +17,10 @@ namespace ecrpq {
 // variables (answer arity).
 Status ValidateUnion(const UecrpqQuery& query);
 
-// Evaluates every disjunct with the planner-routed engine and merges the
-// answer sets (sorted, deduplicated). A Boolean union short-circuits on the
-// first satisfiable disjunct.
+// Evaluates every disjunct through EvaluatePlanned and merges the answer
+// sets (sorted, deduplicated). on_answer sees each distinct answer once and
+// max_answers caps the union, not each disjunct. A Boolean union
+// short-circuits on the first satisfiable disjunct.
 Result<EvalResult> EvaluateUnion(const GraphDb& db, const UecrpqQuery& query,
                                  const EvalOptions& options = {});
 

@@ -11,8 +11,6 @@
 #include "common/dcheck.h"
 #include "common/hash.h"
 #include "common/json.h"
-#include "eval/crpq_eval.h"
-#include "eval/generic_eval.h"
 #include "eval/planner.h"
 #include "graphdb/io.h"
 #include "graphdb/reach_memo.h"
@@ -469,32 +467,22 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     }
     const bool no_cache = req.no_cache || service_->config_.disable_cache;
 
-    Result<EvalResult> result = Status::Internal("unset");
+    EvalOptions options;
+    // "auto" leaves the engine unset: the planner routes through
+    // ClassifyQueryCached.
+    if (req.engine == "generic") options.engine = EngineChoice::kGeneric;
+    if (req.engine == "crpq") options.engine = EngineChoice::kCrpqPipeline;
+    options.num_threads = service_->config_.pool_threads;
+    options.max_answers = static_cast<size_t>(req.max_answers);
+    options.disable_cache = no_cache;
+    options.obs = &session;
+    const bool classified = !options.engine.has_value();
     QueryClassification classification;
-    bool classified = false;
+    Result<EvalResult> result = Status::Internal("unset");
     {
       // The request-level span everything the engines record nests under.
       obs::Span request_span(session.trace(), "service_request");
-      if (req.engine == "generic") {
-        EvalOptions options;
-        options.num_threads = service_->config_.pool_threads;
-        options.max_answers = static_cast<size_t>(req.max_answers);
-        options.disable_cache = no_cache;
-        options.obs = &session;
-        result = EvaluateGeneric(db, *query, options);
-      } else if (req.engine == "crpq") {
-        result = EvaluateCrpq(db, *query, /*use_treedec=*/true,
-                              static_cast<size_t>(req.max_answers), &session,
-                              no_cache);
-      } else {  // "auto": the planner routes through ClassifyQueryCached.
-        EvalOptions options;
-        options.num_threads = service_->config_.pool_threads;
-        options.max_answers = static_cast<size_t>(req.max_answers);
-        options.disable_cache = no_cache;
-        options.obs = &session;
-        result = EvaluatePlanned(db, *query, options, {}, &classification);
-        classified = true;
-      }
+      result = EvaluatePlanned(db, *query, options, {}, &classification);
     }
     if (classified && telemetry) ev.verdict_json = classification.ToJson();
 

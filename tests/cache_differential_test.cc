@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "eval/crpq_eval.h"
 #include "eval/planner.h"
 #include "graphdb/graph_db.h"
 #include "query/parser.h"
@@ -99,12 +98,14 @@ TEST_P(CacheDifferentialSuite, CrpqFastPathCacheOnOffByteIdentical) {
   const GraphDb db = RandomDb(&rng);
 
   ClearGlobalCaches();
+  EvalOptions options;
+  options.engine = EngineChoice::kCrpqPipeline;
+  options.disable_cache = true;
   const EvalResult reference =
-      EvaluateCrpq(db, query, /*use_treedec=*/true, /*max_answers=*/0,
-                   /*obs=*/nullptr, /*disable_cache=*/true)
-          .ValueOrDie();
+      EvaluatePlanned(db, query, options).ValueOrDie();
+  options.disable_cache = false;
   for (int round = 0; round < 2; ++round) {
-    const EvalResult cached = EvaluateCrpq(db, query).ValueOrDie();
+    const EvalResult cached = EvaluatePlanned(db, query, options).ValueOrDie();
     ASSERT_EQ(reference.answers, cached.answers)
         << "seed " << GetParam() << " round " << round << "\nquery: "
         << query.ToString();

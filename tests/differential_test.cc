@@ -25,7 +25,7 @@
 #include "common/rng.h"
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
-#include "eval/reduce_to_cq.h"
+#include "eval/planner.h"
 #include "graphdb/generators.h"
 #include "query/builder.h"
 #include "synchro/builders.h"
@@ -176,10 +176,10 @@ TEST_P(DifferentialSuite, PipelineWithObsAgreesWithOracle) {
   ASSERT_TRUE(naive.ok()) << naive.status();
 
   obs::Session session;
-  ReduceOptions options;
+  EvalOptions options;
+  options.engine = EngineChoice::kCqReduction;
   options.obs = &session;
-  Result<EvalResult> piped =
-      EvaluateViaCqReduction(db, *q, /*use_treedec=*/true, options);
+  Result<EvalResult> piped = EvaluatePlanned(db, *q, options);
   ASSERT_TRUE(piped.ok()) << piped.status();
   ASSERT_EQ(naive->satisfiable, piped->satisfiable)
       << "seed " << GetParam() << "\nquery: " << q->ToString();
@@ -241,11 +241,11 @@ TEST_P(DifferentialSuite, PipelineSizeHistogramsPoolSizeInvariant) {
 
   auto run = [&](int threads) -> std::pair<EvalResult, obs::StatsReport> {
     obs::Session session;
-    ReduceOptions options;
+    EvalOptions options;
+    options.engine = EngineChoice::kCqReduction;
     options.obs = &session;
     options.num_threads = threads;
-    Result<EvalResult> result =
-        EvaluateViaCqReduction(db, *q, /*use_treedec=*/true, options);
+    Result<EvalResult> result = EvaluatePlanned(db, *q, options);
     EXPECT_TRUE(result.ok()) << result.status();
     return {std::move(result).ValueOrDie(), session.Report()};
   };

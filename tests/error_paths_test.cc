@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "eval/adaptive.h"
-#include "eval/crpq_eval.h"
 #include "eval/explain.h"
 #include "eval/generic_eval.h"
+#include "eval/planner.h"
 #include "eval/reduce_to_cq.h"
 #include "eval/satisfiability.h"
 #include "graphdb/generators.h"
@@ -16,6 +16,13 @@ namespace ecrpq {
 namespace {
 
 const Alphabet kAb = Alphabet::OfChars("ab");
+
+// Options that force one engine through EvaluatePlanned.
+EvalOptions Forced(EngineChoice engine) {
+  EvalOptions options;
+  options.engine = engine;
+  return options;
+}
 
 EcrpqQuery Parse(std::string_view text) {
   Result<EcrpqQuery> q = ParseEcrpq(text, kAb);
@@ -30,8 +37,10 @@ TEST(ErrorPathsTest, AlphabetMismatchRejectedEverywhere) {
   db.AddEdge(0, "x", 1);
   const EcrpqQuery q = Parse("q() := u -[p]-> v, lang(/a/, p)");
   EXPECT_FALSE(EvaluateGeneric(db, q).ok());
-  EXPECT_FALSE(EvaluateViaCqReduction(db, q).ok());
-  EXPECT_FALSE(EvaluateCrpq(db, q).ok());
+  EXPECT_FALSE(
+      EvaluatePlanned(db, q, Forced(EngineChoice::kCqReduction)).ok());
+  EXPECT_FALSE(
+      EvaluatePlanned(db, q, Forced(EngineChoice::kCrpqPipeline)).ok());
   EXPECT_FALSE(ReduceToCq(db, q).ok());
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "eval/adaptive.h"
 #include "eval/naive_eval.h"
 #include "graphdb/dot.h"
@@ -60,6 +63,42 @@ TEST(AdaptiveTest, PspaceRegimeFallsBackToUnboundedGeneric) {
   EXPECT_EQ(report.fallback_engine, EngineChoice::kGeneric);
   EXPECT_FALSE(r->aborted);
   EXPECT_TRUE(r->satisfiable);
+}
+
+TEST(AdaptiveTest, StreamsEachAnswerOnceAcrossFallback) {
+  // A starved phase 1 falls back to the cq-reduction route (polynomial
+  // regime) and to the unbounded generic engine (PSPACE regime). Either
+  // way every answer reaches on_answer exactly once, and answers are
+  // exactly the streamed tuples.
+  const GraphDb db = CycleGraph(6, "ab");
+  const struct {
+    EcrpqQuery query;
+    EngineChoice fallback;
+  } cases[] = {
+      {Parse("q(x, y) := x -[p1]-> y, x -[p2]-> y, eqlen(p1, p2)"),
+       EngineChoice::kCqReduction},
+      {Parse("q(x) := x -[p0]-> y0, x -[p1]-> y1, x -[p2]-> y2,"
+             " eqlen(p0, p1, p2)"),
+       EngineChoice::kGeneric},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.query.ToString());
+    std::vector<std::vector<VertexId>> streamed;
+    AdaptiveOptions options;
+    options.budget_factor = 0.001;
+    options.eval.on_answer = [&](const std::vector<VertexId>& answer) {
+      streamed.push_back(answer);
+      return true;
+    };
+    AdaptiveReport report;
+    Result<EvalResult> r = EvaluateAdaptive(db, c.query, options, &report);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_TRUE(report.fell_back);
+    EXPECT_EQ(report.fallback_engine, c.fallback);
+    EXPECT_EQ(r->answers, EvaluateNaive(db, c.query).ValueOrDie().answers);
+    std::sort(streamed.begin(), streamed.end());
+    EXPECT_EQ(streamed, r->answers);
+  }
 }
 
 class AdaptiveDifferentialTest : public ::testing::TestWithParam<uint64_t> {};

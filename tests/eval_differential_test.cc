@@ -2,11 +2,9 @@
 // oracle on randomized small instances.
 #include <gtest/gtest.h>
 
-#include "eval/crpq_eval.h"
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
 #include "eval/planner.h"
-#include "eval/reduce_to_cq.h"
 #include "graphdb/generators.h"
 #include "query/builder.h"
 #include "synchro/builders.h"
@@ -16,6 +14,13 @@ namespace ecrpq {
 namespace {
 
 const Alphabet kAb = Alphabet::OfChars("ab");
+
+// Options that force one engine through EvaluatePlanned.
+EvalOptions Forced(EngineChoice engine) {
+  EvalOptions options;
+  options.engine = engine;
+  return options;
+}
 
 std::shared_ptr<const SyncRelation> Shared(Result<SyncRelation> r) {
   EXPECT_TRUE(r.ok()) << r.status();
@@ -107,8 +112,10 @@ TEST_P(EcrpqDifferentialTest, CqReductionMatchesNaive) {
   ASSERT_TRUE(q.ok()) << q.status();
   const GraphDb db = RandomSmallDb(&rng);
   Result<EvalResult> naive = EvaluateNaive(db, *q);
-  Result<EvalResult> via_td = EvaluateViaCqReduction(db, *q, true);
-  Result<EvalResult> via_bt = EvaluateViaCqReduction(db, *q, false);
+  Result<EvalResult> via_td =
+      EvaluatePlanned(db, *q, Forced(EngineChoice::kCqReduction));
+  Result<EvalResult> via_bt =
+      EvaluatePlanned(db, *q, Forced(EngineChoice::kCqReductionNp));
   ASSERT_TRUE(naive.ok()) << naive.status();
   ASSERT_TRUE(via_td.ok()) << via_td.status();
   ASSERT_TRUE(via_bt.ok()) << via_bt.status();
@@ -146,7 +153,8 @@ TEST_P(EcrpqDifferentialTest, CrpqEngineMatchesNaiveOnCrpqs) {
   ASSERT_TRUE(q->IsCrpq());
   const GraphDb db = RandomSmallDb(&rng);
   Result<EvalResult> naive = EvaluateNaive(db, *q);
-  Result<EvalResult> crpq = EvaluateCrpq(db, *q);
+  Result<EvalResult> crpq =
+      EvaluatePlanned(db, *q, Forced(EngineChoice::kCrpqPipeline));
   ASSERT_TRUE(naive.ok()) << naive.status();
   ASSERT_TRUE(crpq.ok()) << crpq.status();
   ASSERT_EQ(naive->satisfiable, crpq->satisfiable)

@@ -1,9 +1,9 @@
 // Hand-verifiable end-to-end evaluations across all engines.
 #include <gtest/gtest.h>
 
-#include "eval/crpq_eval.h"
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
+#include "eval/planner.h"
 #include "eval/reduce_to_cq.h"
 #include "graphdb/generators.h"
 #include "query/parser.h"
@@ -13,6 +13,13 @@ namespace ecrpq {
 namespace {
 
 const Alphabet kAb = Alphabet::OfChars("ab");
+
+// Options that force one engine through EvaluatePlanned.
+EvalOptions Forced(EngineChoice engine) {
+  EvalOptions options;
+  options.engine = engine;
+  return options;
+}
 
 EcrpqQuery Parse(std::string_view text) {
   Result<EcrpqQuery> q = ParseEcrpq(text, kAb);
@@ -118,7 +125,8 @@ TEST(CrpqEvalTest, MatchesGenericOnCrpq) {
       rd);
   ASSERT_TRUE(q.ok()) << q.status();
   ASSERT_TRUE(q->IsCrpq());
-  Result<EvalResult> crpq = EvaluateCrpq(db, *q);
+  Result<EvalResult> crpq =
+      EvaluatePlanned(db, *q, Forced(EngineChoice::kCrpqPipeline));
   Result<EvalResult> generic = EvaluateGeneric(db, *q);
   ASSERT_TRUE(crpq.ok()) << crpq.status();
   ASSERT_TRUE(generic.ok()) << generic.status();
@@ -133,7 +141,8 @@ TEST(CrpqEvalTest, RejectsNonCrpq) {
   GraphDb db = PathGraph(3, "a");
   const EcrpqQuery q =
       Parse("q() := x -[p1]-> y, x -[p2]-> y, eqlen(p1, p2)");
-  EXPECT_FALSE(EvaluateCrpq(db, q).ok());
+  EXPECT_FALSE(
+      EvaluatePlanned(db, q, Forced(EngineChoice::kCrpqPipeline)).ok());
 }
 
 TEST(ReduceToCqTest, ProducesExpectedShape) {
@@ -156,8 +165,10 @@ TEST(ReduceToCqTest, PipelineMatchesGeneric) {
   const EcrpqQuery q =
       Parse("q(x, xp) := x -[p1]-> y, xp -[p2]-> y, eqlen(p1, p2)");
   Result<EvalResult> generic = EvaluateGeneric(db, q);
-  Result<EvalResult> via_td = EvaluateViaCqReduction(db, q, true);
-  Result<EvalResult> via_bt = EvaluateViaCqReduction(db, q, false);
+  Result<EvalResult> via_td =
+      EvaluatePlanned(db, q, Forced(EngineChoice::kCqReduction));
+  Result<EvalResult> via_bt =
+      EvaluatePlanned(db, q, Forced(EngineChoice::kCqReductionNp));
   ASSERT_TRUE(generic.ok()) << generic.status();
   ASSERT_TRUE(via_td.ok()) << via_td.status();
   ASSERT_TRUE(via_bt.ok()) << via_bt.status();

@@ -2,6 +2,9 @@
 // executable).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "eval/generic_eval.h"
 #include "eval/satisfiability.h"
 #include "eval/uecrpq.h"
@@ -57,6 +60,41 @@ TEST(UecrpqTest, BooleanShortCircuits) {
   Result<EvalResult> rb = EvaluateUnion(db, bad);
   ASSERT_TRUE(rb.ok());
   EXPECT_FALSE(rb->satisfiable);
+}
+
+TEST(UecrpqTest, StreamsEachAnswerOnceAndStopsWhenAsked) {
+  // Two identical PSPACE-regime disjuncts (generic engine): every answer
+  // is found twice, but must reach the callback once.
+  const GraphDb db = CycleGraph(4, "ab");
+  UecrpqQuery u;
+  for (int i = 0; i < 2; ++i) {
+    u.disjuncts.push_back(
+        Parse("q(x) := x -[p0]-> y0, x -[p1]-> y1, x -[p2]-> y2,"
+              " eqlen(p0, p1, p2)"));
+  }
+  std::vector<std::vector<VertexId>> streamed;
+  EvalOptions options;
+  options.on_answer = [&](const std::vector<VertexId>& answer) {
+    streamed.push_back(answer);
+    return true;
+  };
+  Result<EvalResult> r = EvaluateUnion(db, u, options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->answers.size(), 4u);
+  std::sort(streamed.begin(), streamed.end());
+  EXPECT_EQ(streamed, r->answers);
+
+  // A callback that says stop after the first answer stops the union, not
+  // just the disjunct it came from.
+  streamed.clear();
+  options.on_answer = [&](const std::vector<VertexId>& answer) {
+    streamed.push_back(answer);
+    return false;
+  };
+  r = EvaluateUnion(db, u, options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(streamed.size(), 1u);
+  EXPECT_EQ(r->answers, streamed);
 }
 
 TEST(UecrpqTest, ClassifyUnionTakesWorstRegime) {

@@ -8,7 +8,6 @@
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
 #include "eval/planner.h"
-#include "eval/reduce_to_cq.h"
 #include "query/parser.h"
 
 namespace ecrpq {
@@ -67,8 +66,10 @@ TEST_P(ExhaustiveTest, AllEnginesMatchOracleOnEveryDatabase) {
     ASSERT_EQ(oracle.answers, planned.answers) << "mask " << mask;
     // Spot-check the heavier pipelines on a subsample to keep runtime sane.
     if (mask % 16 == 0) {
+      EvalOptions via_cq_options;
+      via_cq_options.engine = EngineChoice::kCqReduction;
       const EvalResult via_cq =
-          EvaluateViaCqReduction(db, query).ValueOrDie();
+          EvaluatePlanned(db, query, via_cq_options).ValueOrDie();
       ASSERT_EQ(oracle.answers, via_cq.answers) << "mask " << mask;
       const EvalResult adaptive = EvaluateAdaptive(db, query).ValueOrDie();
       ASSERT_EQ(oracle.answers, adaptive.answers) << "mask " << mask;

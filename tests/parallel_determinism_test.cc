@@ -1,17 +1,20 @@
 // The parallel evaluation layer must be invisible in results: for every
 // engine entry point, a pool of N workers produces byte-identical output to
 // the sequential run — including early-stop cutoffs and streaming-callback
-// sequences. Only EvalStats may differ (concurrently explored branches are
-// not un-explored by an early stop).
+// sequences. Only work counters of an obs session may differ (concurrently
+// explored branches are not un-explored by an early stop).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "automata/regex.h"
+#include "common/obs.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "eval/generic_eval.h"
 #include "eval/merge.h"
+#include "eval/planner.h"
 #include "eval/reduce_to_cq.h"
 #include "graphdb/generators.h"
 #include "graphdb/rpq_reach.h"
@@ -141,18 +144,56 @@ TEST(ParallelDeterminismTest, CqReductionRelations) {
   const GraphDb db = CycleGraph(6, "ab");
   const EcrpqQuery q = ChainEqLenQuery(kAb, 4).ValueOrDie();
   auto eval = [&](int num_threads) {
-    ReduceOptions options;
+    obs::Session session;
+    EvalOptions options;
+    options.engine = EngineChoice::kCqReduction;
     options.num_threads = num_threads;
-    Result<EvalResult> r =
-        EvaluateViaCqReduction(db, q, /*use_treedec=*/true, options);
+    options.obs = &session;
+    Result<EvalResult> r = EvaluatePlanned(db, q, options);
     EXPECT_TRUE(r.ok()) << r.status();
-    return std::move(r).ValueOrDie();
+    const uint64_t states =
+        session.Report()[obs::CounterId::kProductStatesExpanded];
+    return std::make_pair(std::move(r).ValueOrDie(), states);
   };
-  const EvalResult seq = eval(1);
-  const EvalResult par = eval(4);
+  const auto [seq, seq_states] = eval(1);
+  const auto [par, par_states] = eval(4);
   EXPECT_EQ(seq.satisfiable, par.satisfiable);
   EXPECT_EQ(seq.answers, par.answers);
-  EXPECT_EQ(seq.stats.product_states, par.stats.product_states);
+  // Every source tuple is searched exactly once at any pool size.
+  EXPECT_EQ(seq_states, par_states);
+}
+
+// num_threads = 1 holds on the routes that build relations before a CQ
+// phase too: no scheduler runs, so no worker ever probes for a steal.
+TEST(ParallelDeterminismTest, SingleThreadRoutesNeverSteal) {
+  if (ThreadPool::DefaultNumThreads() < 2) {
+    GTEST_SKIP() << "the default pool has a single worker";
+  }
+  Rng rng(12);
+  struct Case {
+    GraphDb db;
+    EcrpqQuery query;
+    EngineChoice route;
+  };
+  const Case cases[] = {
+      {RandomGraph(&rng, 64, 2.5, 2), Parse("q(x, y) := x -[/a(a|b)*/]-> y"),
+       EngineChoice::kCrpqPipeline},
+      {RandomGraph(&rng, 12, 2.0, 2), ChainEqLenQuery(kAb, 2).ValueOrDie(),
+       EngineChoice::kCqReduction},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(EngineChoiceName(c.route));
+    obs::Session session;
+    EvalOptions options;
+    options.num_threads = 1;
+    options.disable_cache = true;
+    options.obs = &session;
+    QueryClassification plan;
+    Result<EvalResult> r = EvaluatePlanned(c.db, c.query, options, {}, &plan);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(plan.engine, c.route);
+    EXPECT_EQ(session.Report()[obs::CounterId::kStealAttempts], 0u);
+  }
 }
 
 TEST(ParallelDeterminismTest, CqReductionBudgetError) {

@@ -82,17 +82,42 @@ ECRPQ_THREADS=4 build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" \
 build/tools/ecrpq_cli trace-check "$OBS_TMP/trace-mt.json"
 # profile: the single-threaded per-phase breakdown must print its table and
 # account for (nearly all of) the traced wall time — the telescoping
-# invariant the command is built on.
-build/tools/ecrpq_cli profile "$OBS_TMP/graph.txt" "$OBS_QUERY" \
-  > "$OBS_TMP/profile.out"
-grep -q 'self-time coverage' "$OBS_TMP/profile.out"
-COVERAGE=$(sed -n 's/^self-time coverage: \([0-9.]*\)%.*/\1/p' \
-  "$OBS_TMP/profile.out")
-if ! awk -v c="$COVERAGE" 'BEGIN { exit !(c >= 95.0 && c <= 100.5) }'; then
-  echo "obs smoke: profile self-time coverage out of range: $COVERAGE%" >&2
-  cat "$OBS_TMP/profile.out" >&2
-  exit 1
-fi
+# invariant the command is built on. profile asks for num_threads = 1
+# itself, so the gate runs once per engine under a 4-worker default: a
+# route that ignored num_threads would fan out and break the telescoping.
+CRPQ_QUERY='q(x, y) := x -[/a(a|b)*/]-> y'
+profile_gate() {  # profile_gate <engine> <query>
+  ECRPQ_THREADS=4 build/tools/ecrpq_cli profile "$OBS_TMP/graph.txt" "$2" \
+    --engine="$1" > "$OBS_TMP/profile-$1.out"
+  grep -q 'self-time coverage' "$OBS_TMP/profile-$1.out"
+  COVERAGE=$(sed -n 's/^self-time coverage: \([0-9.]*\)%.*/\1/p' \
+    "$OBS_TMP/profile-$1.out")
+  if ! awk -v c="$COVERAGE" 'BEGIN { exit !(c >= 95.0 && c <= 100.5) }'; then
+    echo "obs smoke: profile --engine=$1 self-time coverage out of range:" \
+      "$COVERAGE%" >&2
+    cat "$OBS_TMP/profile-$1.out" >&2
+    exit 1
+  fi
+}
+for engine in auto generic cq; do
+  profile_gate "$engine" "$OBS_QUERY"
+done
+profile_gate crpq "$CRPQ_QUERY"
+# Every engine prints the generic engine's answer lines (eval's output
+# from "satisfiable:" on; auto and adaptive print their plan above it).
+eval_answers() {  # eval_answers <engine> <query>
+  build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$2" --engine="$1" \
+    | sed -n '/^satisfiable:/,$p'
+}
+eval_answers generic "$OBS_QUERY" > "$OBS_TMP/answers-generic.out"
+for engine in auto cq adaptive; do
+  eval_answers "$engine" "$OBS_QUERY" | diff "$OBS_TMP/answers-generic.out" -
+done
+eval_answers generic "$CRPQ_QUERY" > "$OBS_TMP/answers-generic-crpq.out"
+for engine in auto crpq cq adaptive; do
+  eval_answers "$engine" "$CRPQ_QUERY" \
+    | diff "$OBS_TMP/answers-generic-crpq.out" -
+done
 # A starved budget: eval must exit 3 (ResourceExhausted) and still print
 # the partial stats report. --engine=cq checks the budget after every
 # materialization batch, so a 1-state budget trips deterministically.

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,11 +33,8 @@
 #include "common/obs.h"
 #include "eval/adaptive.h"
 #include "query/validate.h"
-#include "eval/crpq_eval.h"
 #include "eval/explain.h"
-#include "eval/generic_eval.h"
 #include "eval/planner.h"
-#include "eval/reduce_to_cq.h"
 #include "eval/satisfiability.h"
 #include "graphdb/dot.h"
 #include "cq/count.h"
@@ -344,33 +342,71 @@ Result<RelationRegistry> LoadRegistry(const Args& args) {
   return registry;
 }
 
-int Eval(const Args& args) {
-  if (args.positional.size() != 2) return Usage();
+// Reads and parses the graph file positional[0]; prints the error and
+// returns nullopt on failure.
+std::optional<GraphDb> LoadGraph(const Args& args) {
   Result<std::string> text = ReadFile(args.positional[0]);
   if (!text.ok()) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
   Result<GraphDb> db = GraphDbFromString(*text);
   if (!db.ok()) {
     std::fprintf(stderr, "graph parse error: %s\n",
                  db.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
+  return std::move(db).ValueOrDie();
+}
+
+struct GraphAndQuery {
+  GraphDb db;
+  EcrpqQuery query;
+};
+
+// LoadGraph, then parses the query positional[1], with the --rel
+// relations, over the graph's alphabet (the query's must include it).
+std::optional<GraphAndQuery> LoadGraphAndQuery(const Args& args) {
+  std::optional<GraphDb> db = LoadGraph(args);
+  if (!db.has_value()) return std::nullopt;
   Result<RelationRegistry> registry = LoadRegistry(args);
   if (!registry.ok()) {
     std::fprintf(stderr, "relation load error: %s\n",
                  registry.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
-  // The query's alphabet must be a superset of the graph's; reuse it.
   Result<EcrpqQuery> query =
       ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
   if (!query.ok()) {
     std::fprintf(stderr, "query parse error: %s\n",
                  query.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
+  return GraphAndQuery{*std::move(db), std::move(query).ValueOrDie()};
+}
+
+// Maps an --engine value onto EvalOptions::engine ("auto" = unset, the
+// planner routes); false for a name that is not an EngineChoice.
+bool ParseEngine(const std::string& name, std::optional<EngineChoice>* engine) {
+  if (name == "auto") {
+    engine->reset();
+  } else if (name == "generic") {
+    *engine = EngineChoice::kGeneric;
+  } else if (name == "crpq") {
+    *engine = EngineChoice::kCrpqPipeline;
+  } else if (name == "cq") {
+    *engine = EngineChoice::kCqReduction;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+int Eval(const Args& args) {
+  if (args.positional.size() != 2) return Usage();
+  std::optional<GraphAndQuery> loaded = LoadGraphAndQuery(args);
+  if (!loaded.has_value()) return 1;
+  const auto& [db, query] = *loaded;
 
   // Observability session — attached only when asked for, so the default
   // path keeps the zero-overhead contract.
@@ -400,39 +436,26 @@ int Eval(const Args& args) {
     return true;
   };
 
+  EvalOptions options;
+  options.obs = obs;
+  options.disable_cache = args.no_cache;
   Result<EvalResult> result = Status::Invalid("unset");
-  if (args.engine == "generic") {
-    EvalOptions options;
-    options.obs = obs;
-    options.disable_cache = args.no_cache;
-    result = EvaluateGeneric(*db, *query, options);
-  } else if (args.engine == "cq") {
-    ReduceOptions reduce_options;
-    reduce_options.obs = obs;
-    result = EvaluateViaCqReduction(*db, *query, /*use_treedec=*/true,
-                                    reduce_options);
-  } else if (args.engine == "crpq") {
-    result = EvaluateCrpq(*db, *query, /*use_treedec=*/true,
-                          /*max_answers=*/0, obs, args.no_cache);
-  } else if (args.engine == "adaptive") {
+  if (args.engine == "adaptive") {
     AdaptiveReport report;
     AdaptiveOptions adaptive_options;
-    adaptive_options.eval.obs = obs;
-    adaptive_options.eval.disable_cache = args.no_cache;
-    result = EvaluateAdaptive(*db, *query, adaptive_options, &report);
+    adaptive_options.eval = options;
+    result = EvaluateAdaptive(db, query, adaptive_options, &report);
     if (result.ok()) {
       std::printf("adaptive: budget=%zu fell_back=%s\n", report.phase1_budget,
                   report.fell_back ? "yes" : "no");
     }
-  } else if (args.engine == "auto") {
-    QueryClassification c;
-    EvalOptions options;
-    options.obs = obs;
-    options.disable_cache = args.no_cache;
-    result = EvaluatePlanned(*db, *query, options, {}, &c);
-    if (result.ok()) std::printf("%s\n", c.ToString().c_str());
   } else {
-    return Usage();
+    if (!ParseEngine(args.engine, &options.engine)) return Usage();
+    QueryClassification c;
+    result = EvaluatePlanned(db, query, options, {}, &c);
+    if (result.ok() && !options.engine.has_value()) {
+      std::printf("%s\n", c.ToString().c_str());
+    }
   }
   if (!result.ok()) {
     write_trace();
@@ -447,7 +470,7 @@ int Eval(const Args& args) {
     return 1;
   }
   std::printf("satisfiable: %s\n", result->satisfiable ? "yes" : "no");
-  if (!query->IsBoolean()) {
+  if (!query.IsBoolean()) {
     std::printf("%zu answers:\n", result->answers.size());
     for (const auto& answer : result->answers) {
       std::printf(" ");
@@ -466,64 +489,23 @@ int Eval(const Args& args) {
 }
 
 // profile: evaluate with tracing on and print the per-phase time breakdown.
-// The run is forced single-threaded (ECRPQ_THREADS=1): on one thread spans
-// nest properly, so the phase self-times telescope to the root span and the
+// The run is single-threaded (num_threads = 1): on one thread spans nest
+// properly, so the phase self-times telescope to the root span and the
 // closing coverage line is meaningful (~100% minus untraced work).
 int Profile(const Args& args) {
   if (args.positional.size() != 2) return Usage();
-  setenv("ECRPQ_THREADS", "1", /*overwrite=*/1);
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<GraphAndQuery> loaded = LoadGraphAndQuery(args);
+  if (!loaded.has_value()) return 1;
+  const auto& [db, query] = *loaded;
 
+  EvalOptions options;
+  if (!ParseEngine(args.engine, &options.engine)) return Usage();
   obs::Session session;
   session.EnableTrace();
-  Result<EvalResult> result = Status::Invalid("unset");
-  if (args.engine == "generic") {
-    EvalOptions options;
-    options.obs = &session;
-    options.num_threads = 1;
-    options.disable_cache = args.no_cache;
-    result = EvaluateGeneric(*db, *query, options);
-  } else if (args.engine == "cq") {
-    ReduceOptions reduce_options;
-    reduce_options.obs = &session;
-    reduce_options.num_threads = 1;
-    result = EvaluateViaCqReduction(*db, *query, /*use_treedec=*/true,
-                                    reduce_options);
-  } else if (args.engine == "crpq") {
-    result = EvaluateCrpq(*db, *query, /*use_treedec=*/true,
-                          /*max_answers=*/0, &session, args.no_cache);
-  } else if (args.engine == "auto") {
-    EvalOptions options;
-    options.obs = &session;
-    options.num_threads = 1;
-    options.disable_cache = args.no_cache;
-    result = EvaluatePlanned(*db, *query, options);
-  } else {
-    return Usage();
-  }
+  options.obs = &session;
+  options.num_threads = 1;
+  options.disable_cache = args.no_cache;
+  Result<EvalResult> result = EvaluatePlanned(db, query, options);
   if (!result.ok()) {
     std::fprintf(stderr, "evaluation error: %s\n",
                  result.status().ToString().c_str());
@@ -556,37 +538,16 @@ int TraceCheck(const Args& args) {
 
 int Explain(const Args& args) {
   if (args.positional.size() < 2) return Usage();
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<GraphAndQuery> loaded = LoadGraphAndQuery(args);
+  if (!loaded.has_value()) return 1;
+  const auto& [db, query] = *loaded;
   std::vector<VertexId> answer;
   for (size_t i = 2; i < args.positional.size(); ++i) {
     answer.push_back(
         static_cast<VertexId>(std::stoul(args.positional[i])));
   }
   Result<std::optional<Explanation>> explanation =
-      ExplainAnswer(*db, *query, answer);
+      ExplainAnswer(db, query, answer);
   if (!explanation.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  explanation.status().ToString().c_str());
@@ -596,9 +557,9 @@ int Explain(const Args& args) {
     std::printf("not an answer\n");
     return 1;
   }
-  const Status valid = ValidateExplanation(*db, *query, **explanation);
+  const Status valid = ValidateExplanation(db, query, **explanation);
   std::printf("certificate (%s):\n%s", valid.ok() ? "valid" : "INVALID",
-              (**explanation).ToString(*query, *db).c_str());
+              (**explanation).ToString(query, db).c_str());
   return 0;
 }
 
@@ -627,31 +588,10 @@ int Sat(const Args& args) {
 
 int Count(const Args& args) {
   if (args.positional.size() != 2) return Usage();
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
-  Result<RelationRegistry> registry = LoadRegistry(args);
-  if (!registry.ok()) {
-    std::fprintf(stderr, "relation load error: %s\n",
-                 registry.status().ToString().c_str());
-    return 1;
-  }
-  Result<EcrpqQuery> query =
-      ParseEcrpq(args.positional[1], db->alphabet(), &*registry);
-  if (!query.ok()) {
-    std::fprintf(stderr, "query parse error: %s\n",
-                 query.status().ToString().c_str());
-    return 1;
-  }
-  Result<uint64_t> count = CountEcrpqNodeAssignments(*db, *query);
+  std::optional<GraphAndQuery> loaded = LoadGraphAndQuery(args);
+  if (!loaded.has_value()) return 1;
+  const auto& [db, query] = *loaded;
+  Result<uint64_t> count = CountEcrpqNodeAssignments(db, query);
   if (!count.ok()) {
     std::fprintf(stderr, "error: %s\n", count.status().ToString().c_str());
     return 1;
@@ -663,17 +603,8 @@ int Count(const Args& args) {
 
 int Dot(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  Result<std::string> text = ReadFile(args.positional[0]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  Result<GraphDb> db = GraphDbFromString(*text);
-  if (!db.ok()) {
-    std::fprintf(stderr, "graph parse error: %s\n",
-                 db.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<GraphDb> db = LoadGraph(args);
+  if (!db.has_value()) return 1;
   std::printf("%s", GraphDbToDot(*db).c_str());
   return 0;
 }
