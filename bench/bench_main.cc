@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 
 namespace ecrpq {
@@ -109,16 +110,6 @@ double Min(const std::vector<double>& values) {
 }
 
 uint64_t g_base_seed = 0;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string JsonNumber(double v) {
   char buf[64];

@@ -3,13 +3,14 @@
 // against three service configurations that differ only in their
 // telemetry knobs.
 //
-//   warm/off      ServiceConfig::telemetry = false: no per-query tracing,
-//                 no trace retention, no flight-recorder events. The
-//                 baseline a telemetry-free build of the serving loop
-//                 would see.
+//   warm/off      ServiceConfig::telemetry = false: no span buffer, no
+//                 per-query tracing, no trace retention. The baseline a
+//                 telemetry-free build of the serving loop would see.
 //   warm/on       the default configuration: per-query obs::Session
-//                 tracing with server-generated "auto:" trace ids, trace
-//                 retention for the `trace` op, flight-recorder events.
+//                 tracing into the session's span buffer with
+//                 server-generated "auto:" trace ids, request-level
+//                 events, claim-range retention for the `trace` op —
+//                 and no rendering, since nothing here reads a trace.
 //                 tools/ci.sh gates warm/on at <= 5% per-query overhead
 //                 over warm/off (ECRPQ_SKIP_PERF_GATE=1 skips).
 //   warm/on+log   warm/on plus a JSON-lines event log with slow_ms=0, so
@@ -29,7 +30,6 @@
 
 #include "common/dcheck.h"
 #include "common/event_log.h"
-#include "common/flight_recorder.h"
 #include "common/rng.h"
 #include "eval/planner.h"
 #include "graphdb/graph_db.h"
@@ -139,12 +139,13 @@ void BM_ServiceWarmTelemetryOn(benchmark::State& state) {
   QueryService service(BenchConfig(/*telemetry=*/true), BenchGraph());
   WarmLoop(state, service, script);
   state.counters["telemetry_on"] = 1;
-  // What one scripted session records into its flight ring — the fixed
-  // per-request event volume the overhead pays for. Informational.
+  // What one scripted session records into its span buffer — engine
+  // spans plus request-level events, the per-request event volume the
+  // overhead pays for. Informational.
   auto session = service.OpenSession();
   RunScript(session.get(), script);
   state.counters["telemetry_flight_events_per_script"] =
-      static_cast<double>(session->flight_recorder().NumRecorded());
+      static_cast<double>(session->trace()->NumRecorded());
 }
 BENCHMARK(BM_ServiceWarmTelemetryOn)->Unit(benchmark::kMillisecond);
 

@@ -16,7 +16,7 @@
 //    valued and get the time slack instead; counters prefixed "sched_"
 //    (work-stealing steal traffic), "cache_" (cross-run cache history),
 //    "service_" (admission-control traffic) or "telemetry_" (event-log /
-//    flight-recorder traffic) are scheduling- or history-dependent by
+//    span-buffer traffic) are scheduling- or history-dependent by
 //    design and are never compared at all;
 //  - comparisons are skipped with a note (not a failure) when the records
 //    are not comparable: build mode differs, threads differ, seed differs,

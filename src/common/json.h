@@ -6,12 +6,16 @@
 // Values are immutable after Parse(). Object member order is preserved
 // (stored as a vector of pairs), which keeps round-trip tests byte-exact
 // for the repo's deterministic writers.
+//
+// The writing side is one string escaper, JsonEscape, shared by the wire
+// protocol, the event log and the trace renderer.
 #ifndef ECRPQ_COMMON_JSON_H_
 #define ECRPQ_COMMON_JSON_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,6 +23,49 @@
 #include "common/status.h"
 
 namespace ecrpq {
+
+// Escapes `s` as the body of a JSON string (no surrounding quotes): '"',
+// '\\', \n, \r, \t and \u00XX for the other control bytes. Each piece goes
+// to `put(std::string_view)`, so with a non-allocating `put` the escape
+// allocates nothing — the fatal-signal trace dump depends on that.
+template <typename Put>
+void JsonEscapeTo(std::string_view s, Put&& put) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t plain = 0;  // Start of the pending run of unescaped bytes.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    char esc[6] = {'\\', 0, '0', '0', 0, 0};
+    size_t len = 2;
+    if (c == '"' || c == '\\') {
+      esc[1] = static_cast<char>(c);
+    } else if (c == '\n') {
+      esc[1] = 'n';
+    } else if (c == '\r') {
+      esc[1] = 'r';
+    } else if (c == '\t') {
+      esc[1] = 't';
+    } else if (c < 0x20) {
+      esc[1] = 'u';
+      esc[4] = kHex[c >> 4];
+      esc[5] = kHex[c & 0xf];
+      len = 6;
+    } else {
+      continue;
+    }
+    put(s.substr(plain, i - plain));
+    put(std::string_view(esc, len));
+    plain = i + 1;
+  }
+  put(s.substr(plain));
+}
+
+inline std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  JsonEscapeTo(s, [&out](std::string_view piece) { out += piece; });
+  return out;
+}
+
 namespace json {
 
 class Value;

@@ -81,11 +81,11 @@ enum class CounterId : int {
   kServiceQueued,              // Queries that waited in the admission queue.
   kServiceRejected,            // Queries rejected (policy or queue deadline).
   kServiceActivePeak,          // Max concurrently admitted (max-aggregated).
-  // Request-telemetry layer (event log, flight recorder). Load-dependent
+  // Request-telemetry layer (event log, postmortems). Load-dependent
   // like the service_ group; exported with a "telemetry_" name prefix that
   // bench_compare treats as informational-only.
   kTelemetryEventsLogged,      // Records appended to the JSON-lines log.
-  kTelemetryPostmortemDumps,   // Flight-recorder postmortem files written.
+  kTelemetryPostmortemDumps,   // Span-buffer postmortem files written.
   kNumCounters,
 };
 

@@ -14,6 +14,17 @@ void EvalBudget::CheckInvariants() const {
   ECRPQ_CHECK_GE(timeout_millis, 0);
 }
 
+void Session::EnableTrace() {
+  if (owned_trace_ != nullptr) return;
+  owned_trace_ = std::make_unique<Trace>();
+  EnableTrace(owned_trace_.get());
+}
+
+void Session::EnableTrace(Trace* buffer) {
+  trace_ = buffer;
+  trace_begin_ = buffer->NumRecorded();
+}
+
 void Session::SetBudget(const EvalBudget& budget) {
   budget.CheckInvariants();
   MutexLock lock(arm_mutex_);

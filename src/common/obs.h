@@ -5,8 +5,9 @@
 // observed together). It bundles:
 //  - Metrics: lock-free per-worker counter shards, deterministically
 //    aggregated into a StatsReport (common/metrics.h);
-//  - Trace: RAII spans exported as chrome://tracing JSON, opt-in via
-//    EnableTrace() (common/trace.h);
+//  - Trace: RAII spans recorded into a bounded buffer and rendered as
+//    chrome://tracing JSON on demand, opt-in via EnableTrace()
+//    (common/trace.h);
 //  - EvalBudget: cooperative resource limits (product states, visited-set
 //    memory, wall-clock deadline). Workers poll CheckBudget() at a coarse
 //    stride; when a limit is crossed the session trips an atomic flag and
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -77,14 +79,19 @@ class Session {
   const Metrics& metrics() const { return metrics_; }
 
   // Tracing is off (trace() == nullptr, spans are no-ops) until enabled.
-  void EnableTrace() { trace_enabled_ = true; }
-  Trace* trace() { return trace_enabled_ ? &trace_ : nullptr; }
+  // EnableTrace() gives the session a buffer of its own. EnableTrace(buffer)
+  // records into a caller's buffer instead (the query service's
+  // per-session one); PhaseProfile() then folds only the events recorded
+  // after the call.
+  void EnableTrace();
+  void EnableTrace(Trace* buffer);
+  Trace* trace() { return trace_; }
 
   // Request-scoped trace id (wire-propagated by the query service, empty
   // outside a service context). Set once before evaluation starts; spans
   // recorded under this session belong to this id, which is what makes
   // concurrent sessions' traces linkable after export
-  // (Trace::ToJson(trace_id)).
+  // (Trace::ToJson(trace_id, ...)).
   void SetTraceId(std::string trace_id) { trace_id_ = std::move(trace_id); }
   const std::string& trace_id() const { return trace_id_; }
 
@@ -138,14 +145,18 @@ class Session {
   // folded) derived from the spans recorded so far. Meaningful only after
   // EnableTrace(); with tracing off the profile is empty. Qualified return
   // type: the method name shadows obs::PhaseProfile inside the class.
-  obs::PhaseProfile PhaseProfile() const { return BuildPhaseProfile(trace_); }
+  obs::PhaseProfile PhaseProfile() const {
+    if (trace_ == nullptr) return {};
+    return BuildPhaseProfile(*trace_, trace_begin_);
+  }
 
  private:
   void Trip(const char* reason);
 
   Metrics metrics_;
-  Trace trace_;
-  bool trace_enabled_ = false;
+  std::unique_ptr<Trace> owned_trace_;
+  Trace* trace_ = nullptr;
+  uint64_t trace_begin_ = 0;  // First claim index of this session's events.
   std::string trace_id_;
 
   // Arming state: written by SetBudget, read by every CheckBudget poll.

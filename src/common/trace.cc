@@ -1,12 +1,20 @@
 #include "common/trace.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
+
+#include "common/json.h"
 
 namespace ecrpq {
 namespace obs {
@@ -17,106 +25,273 @@ int CurrentTraceThreadId() {
   return id;
 }
 
-Trace::Trace() : origin_(std::chrono::steady_clock::now()) {}
+Trace::Trace() : slots_(new Slot[kCapacity]) {}
 
-uint64_t Trace::NowNs() const {
+Trace& Trace::Process() {
+  static Trace* process = new Trace();  // Leaked: signal handlers read it.
+  return *process;
+}
+
+uint64_t Trace::NowNs() {
+  static const std::chrono::steady_clock::time_point origin =
+      std::chrono::steady_clock::now();
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - origin_)
+          std::chrono::steady_clock::now() - origin)
           .count());
 }
 
 void Trace::Record(const char* name, int tid, uint64_t start_ns,
                    uint64_t dur_ns) {
-  MutexLock lock(mutex_);
-  events_.push_back(Event{name, tid, start_ns, dur_ns, 0, false});
+  Publish(name, tid, start_ns, dur_ns, 0, false);
 }
 
 void Trace::Record(const char* name, int tid, uint64_t start_ns,
                    uint64_t dur_ns, uint64_t arg) {
-  MutexLock lock(mutex_);
-  events_.push_back(Event{name, tid, start_ns, dur_ns, arg, true});
+  Publish(name, tid, start_ns, dur_ns, arg, true);
 }
 
-size_t Trace::NumEvents() const {
-  MutexLock lock(mutex_);
-  return events_.size();
-}
-
-std::vector<Trace::Event> Trace::Events() const {
-  std::vector<Event> snapshot;
-  {
-    MutexLock lock(mutex_);
-    snapshot = events_;
+void Trace::Publish(const char* name, int tid, uint64_t start_ns,
+                    uint64_t dur_ns, uint64_t arg, bool has_arg) {
+  const uint64_t claim = next_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = slots_[claim % kCapacity];
+  // Take the slot. A stamp above `claim` is kWriting or a newer event:
+  // drop this one rather than wait or overwrite.
+  uint64_t stamp = slot.stamp.load(std::memory_order_relaxed);
+  if (stamp > claim ||
+      !slot.stamp.compare_exchange_strong(stamp, kWriting,
+                                          std::memory_order_relaxed)) {
+    return;
   }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const Event& a, const Event& b) {
-              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-              if (a.tid != b.tid) return a.tid < b.tid;
-              return std::strcmp(a.name, b.name) < 0;
-            });
-  return snapshot;
+  // Orders the kWriting stamp before the payload for a reader that sees
+  // any of the new payload (it re-checks the stamp after an acquire fence).
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.name.store(name, std::memory_order_relaxed);
+  slot.tid.store(tid, std::memory_order_relaxed);
+  slot.has_arg.store(has_arg, std::memory_order_relaxed);
+  slot.start_ns.store(start_ns, std::memory_order_relaxed);
+  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
+  slot.arg.store(arg, std::memory_order_relaxed);
+  slot.stamp.store(claim + 1, std::memory_order_release);
 }
+
+size_t Trace::Snapshot(uint64_t begin, uint64_t end, Event* out) const {
+  const uint64_t next = NumRecorded();
+  const uint64_t lo =
+      std::max(begin, next > kCapacity ? next - kCapacity : uint64_t{0});
+  const uint64_t hi = std::min(end, next);
+  size_t n = 0;
+  for (uint64_t i = lo; i < hi; ++i) {
+    const Slot& slot = slots_[i % kCapacity];
+    // Unpublished, mid-write, dropped or already overwritten: skip.
+    if (slot.stamp.load(std::memory_order_acquire) != i + 1) continue;
+    const Event e{slot.name.load(std::memory_order_relaxed),
+                  slot.tid.load(std::memory_order_relaxed),
+                  slot.start_ns.load(std::memory_order_relaxed),
+                  slot.dur_ns.load(std::memory_order_relaxed),
+                  slot.arg.load(std::memory_order_relaxed),
+                  slot.has_arg.load(std::memory_order_relaxed)};
+    std::atomic_thread_fence(std::memory_order_acquire);
+    // A writer that took the slot meanwhile may have torn the copy.
+    if (slot.stamp.load(std::memory_order_relaxed) != i + 1) continue;
+    out[n++] = e;
+  }
+  return n;
+}
+
+size_t Trace::NumEvents() const { return Events().size(); }
+
+std::vector<Trace::Event> Trace::Events(uint64_t begin, uint64_t end) const {
+  const uint64_t next = NumRecorded();
+  const uint64_t lo =
+      std::max(begin, next > kCapacity ? next - kCapacity : uint64_t{0});
+  const uint64_t hi = std::min(end, next);
+  // Snapshot re-reads NumRecorded(), which only grows, so its window is a
+  // subset of [lo, hi).
+  std::vector<Event> events(hi > lo ? hi - lo : 0);
+  events.resize(Snapshot(lo, hi, events.data()));
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+    if (a.tid != b.tid) return a.tid < b.tid;
+    return std::strcmp(a.name, b.name) < 0;
+  });
+  return events;
+}
+
+// ---------------------------------------------------------------------------
+// Rendering.
 
 namespace {
 
-// Trace Event Format timestamps are microseconds; keep ns precision as a
-// fraction.
-std::string Micros(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
+// Formats into a fixed buffer and hands each full buffer to `flush`: a
+// string append for ToJson, write(2) for the fatal-signal dump. Nothing
+// here allocates.
+class TraceWriter {
+ public:
+  using Flush = void (*)(void* sink, const char* data, size_t size);
+
+  TraceWriter(Flush flush, void* sink) : flush_(flush), sink_(sink) {}
+  TraceWriter(const TraceWriter&) = delete;
+  TraceWriter& operator=(const TraceWriter&) = delete;
+  ~TraceWriter() { Drain(); }
+
+  void Put(std::string_view s) {
+    while (!s.empty()) {
+      if (size_ == sizeof(buf_)) Drain();
+      const size_t n = std::min(s.size(), sizeof(buf_) - size_);
+      std::memcpy(buf_ + size_, s.data(), n);
+      size_ += n;
+      s.remove_prefix(n);
+    }
+  }
+
+  void PutUint(uint64_t v) {
+    char digits[20];
+    size_t n = sizeof(digits);
+    do {
+      digits[--n] = static_cast<char>('0' + v % 10);
+      v /= 10;
+    } while (v != 0);
+    Put(std::string_view(digits + n, sizeof(digits) - n));
+  }
+
+  // Trace Event Format timestamps are microseconds; keep ns precision as a
+  // three-digit fraction.
+  void PutMicros(uint64_t ns) {
+    PutUint(ns / 1000);
+    const uint64_t frac = ns % 1000;
+    const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                            static_cast<char>('0' + frac / 10 % 10),
+                            static_cast<char>('0' + frac % 10)};
+    Put(std::string_view(digits, sizeof(digits)));
+  }
+
+  void PutEscaped(std::string_view s) {
+    JsonEscapeTo(s, [this](std::string_view piece) { Put(piece); });
+  }
+
+  void Drain() {
+    if (size_ > 0) flush_(sink_, buf_, size_);
+    size_ = 0;
+  }
+
+ private:
+  Flush flush_;
+  void* sink_;
+  char buf_[512];
+  size_t size_ = 0;
+};
+
+// The one Trace Event Format renderer, on a single line.
+void RenderTraceJson(std::string_view trace_id, const Trace::Event* events,
+                     size_t num_events, TraceWriter* out) {
+  out->Put("{");
+  if (!trace_id.empty()) {
+    out->Put("\"traceId\":\"");
+    out->PutEscaped(trace_id);
+    out->Put("\",");
+  }
+  out->Put("\"traceEvents\":[");
+  for (size_t i = 0; i < num_events; ++i) {
+    const Trace::Event& e = events[i];
+    out->Put(i == 0 ? "{\"name\":\"" : ",{\"name\":\"");
+    out->PutEscaped(e.name);
+    out->Put("\",\"cat\":\"ecrpq\",\"ph\":\"X\",\"pid\":0,\"tid\":");
+    out->PutUint(static_cast<uint64_t>(e.tid));
+    out->Put(",\"ts\":");
+    out->PutMicros(e.start_ns);
+    out->Put(",\"dur\":");
+    out->PutMicros(e.dur_ns);
+    if (e.has_arg) {
+      out->Put(",\"args\":{\"v\":");
+      out->PutUint(e.arg);
+      out->Put("}");
+    }
+    out->Put("}");
+  }
+  out->Put("],\"displayTimeUnit\":\"ms\"}");
 }
 
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  return out;
+void AppendToString(void* sink, const char* data, size_t size) {
+  static_cast<std::string*>(sink)->append(data, size);
 }
 
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+void WriteToFd(void* sink, const char* data, size_t size) {
+  const int fd = *static_cast<const int*>(sink);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    data += n;
+    size -= static_cast<size_t>(n);
   }
-  return out;
 }
 
 }  // namespace
 
-std::string Trace::ToJson(std::string_view trace_id) const {
-  const std::vector<Event> events = Events();
-  std::ostringstream out;
-  out << "{";
-  if (!trace_id.empty()) {
-    out << "\"traceId\": \"" << EscapeJson(trace_id) << "\", ";
+std::string Trace::ToJson(std::string_view trace_id, uint64_t begin,
+                          uint64_t end) const {
+  const std::vector<Event> events = Events(begin, end);
+  std::string out;
+  out.reserve(64 + events.size() * 120);
+  {
+    TraceWriter writer(AppendToString, &out);
+    RenderTraceJson(trace_id, events.data(), events.size(), &writer);
   }
-  out << "\"traceEvents\": [\n";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    out << "  {\"name\": \"" << EscapeJson(e.name)
-        << "\", \"cat\": \"ecrpq\", \"ph\": \"X\", \"pid\": 0, \"tid\": "
-        << e.tid << ", \"ts\": " << Micros(e.start_ns)
-        << ", \"dur\": " << Micros(e.dur_ns);
-    if (e.has_arg) out << ", \"args\": {\"v\": " << e.arg << "}";
-    out << "}" << (i + 1 < events.size() ? "," : "") << "\n";
-  }
-  out << "], \"displayTimeUnit\": \"ms\"}\n";
-  return out.str();
+  return out;
 }
 
-Status Trace::WriteFile(const std::string& path) const {
+Status Trace::WriteFile(const std::string& path,
+                        std::string_view trace_id) const {
   std::ofstream out(path);
   if (!out) return Status::NotFound("cannot open " + path + " for writing");
-  out << ToJson();
+  out << ToJson(trace_id) << "\n";
   if (!out) return Status::Internal("short write to " + path);
   return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Fatal-signal dump.
+
+namespace {
+
+// Published once by InstallFatalSignalDump; the handler only reads it.
+std::atomic<const char*> g_fatal_dump_path{nullptr};
+// The handler's snapshot of Process(), preallocated so it never allocates.
+Trace::Event g_fatal_events[Trace::kCapacity];
+// Set by the first handler to run: one dump, even if threads die together.
+std::atomic<bool> g_fatal_dumping{false};
+
+}  // namespace
+
+void Trace::FatalSignalHandler(int signo) {
+  const char* path = g_fatal_dump_path.load(std::memory_order_acquire);
+  if (path != nullptr && !g_fatal_dumping.exchange(true)) {
+    int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd >= 0) {
+      const size_t n = Process().Snapshot(0, kEnd, g_fatal_events);
+      {
+        TraceWriter writer(WriteToFd, &fd);
+        RenderTraceJson("fatal-signal", g_fatal_events, n, &writer);
+        writer.Put("\n");
+      }
+      ::close(fd);
+    }
+  }
+  std::signal(signo, SIG_DFL);
+  std::raise(signo);
+}
+
+void Trace::InstallFatalSignalDump(const std::string& path) {
+  Process();  // Construct the buffer before any handler can need it.
+  // Leaked on purpose: the handler may outlive every caller scope.
+  char* copy = new char[path.size() + 1];
+  std::memcpy(copy, path.c_str(), path.size() + 1);
+  g_fatal_dump_path.store(copy, std::memory_order_release);
+  std::signal(SIGSEGV, FatalSignalHandler);
+  std::signal(SIGABRT, FatalSignalHandler);
+  std::signal(SIGBUS, FatalSignalHandler);
+  std::signal(SIGFPE, FatalSignalHandler);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,9 +405,10 @@ std::string PhaseProfile::ToString() const {
   return out.str();
 }
 
-PhaseProfile BuildPhaseProfile(const Trace& trace) {
+PhaseProfile BuildPhaseProfile(const Trace& trace, uint64_t begin,
+                               uint64_t end) {
   PhaseProfile profile;
-  const std::vector<Trace::Event> events = trace.Events();
+  const std::vector<Trace::Event> events = trace.Events(begin, end);
   if (events.empty()) return profile;
   uint64_t first_start = ~uint64_t{0};
   uint64_t last_end = 0;
@@ -270,307 +446,50 @@ PhaseProfile BuildPhaseProfile(const Trace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser for the schema check. Recognizes the full JSON value
-// grammar (objects, arrays, strings, numbers, true/false/null); no unicode
-// unescaping — the validator only needs structure and key presence.
-
-namespace {
-
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  // Parses one value; on success leaves pos_ after it.
-  bool ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(nullptr);
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString(nullptr);
-    if (c == 't') return ParseLiteral("true");
-    if (c == 'f') return ParseLiteral("false");
-    if (c == 'n') return ParseLiteral("null");
-    return ParseNumber();
-  }
-
-  // Parses an object; records its top-level keys (and, for "traceEvents",
-  // remembers the array span) via the callback when non-null.
-  bool ParseObject(std::vector<std::string>* keys_out) {
-    if (!Expect('{')) return false;
-    SkipSpace();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (keys_out != nullptr) keys_out->push_back(key);
-      SkipSpace();
-      if (!Expect(':')) return false;
-      if (!ParseValue()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect('}');
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  const std::string& error() const { return error_; }
-  size_t pos() const { return pos_; }
-  void set_pos(size_t p) { pos_ = p; }
-
-  bool ParseString(std::string* out) {
-    if (!Expect('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-      } else if (out != nullptr) {
-        out->push_back(c);
-      }
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber() {
-    const size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a number");
-    return true;
-  }
-
-  bool ParseArray() {
-    if (!Expect('[')) return false;
-    SkipSpace();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!ParseValue()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (Peek() != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool ParseLiteral(const char* lit) {
-    const size_t len = std::strlen(lit);
-    if (text_.compare(pos_, len, lit) != 0) {
-      return Fail(std::string("expected ") + lit);
-    }
-    pos_ += len;
-    return true;
-  }
-
-  bool Fail(const std::string& why) {
-    if (error_.empty()) {
-      error_ = why + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-// Validates one event object in place (scanner positioned at '{').
-bool ValidateEventObject(JsonScanner* scanner, std::string* why) {
-  // Re-parse the object manually so key/value types can be checked.
-  scanner->SkipSpace();
-  if (!scanner->Expect('{')) {
-    *why = scanner->error();
-    return false;
-  }
-  bool has_name = false, has_ph = false, has_ts = false, has_dur = false,
-       has_pid = false, has_tid = false;
-  scanner->SkipSpace();
-  if (scanner->Peek() == '}') {
-    *why = "empty trace event object";
-    return false;
-  }
-  while (true) {
-    scanner->SkipSpace();
-    std::string key;
-    if (!scanner->ParseString(&key)) {
-      *why = scanner->error();
-      return false;
-    }
-    scanner->SkipSpace();
-    if (!scanner->Expect(':')) {
-      *why = scanner->error();
-      return false;
-    }
-    scanner->SkipSpace();
-    const char c = scanner->Peek();
-    const bool is_string = c == '"';
-    const bool is_number =
-        c == '-' || std::isdigit(static_cast<unsigned char>(c)) != 0;
-    if (!scanner->ParseValue()) {
-      *why = scanner->error();
-      return false;
-    }
-    if (key == "name" || key == "ph" || key == "cat") {
-      if (!is_string) {
-        *why = "event field \"" + key + "\" is not a string";
-        return false;
-      }
-      if (key == "name") has_name = true;
-      if (key == "ph") has_ph = true;
-    } else if (key == "ts" || key == "dur" || key == "pid" || key == "tid") {
-      if (!is_number) {
-        *why = "event field \"" + key + "\" is not a number";
-        return false;
-      }
-      if (key == "ts") has_ts = true;
-      if (key == "dur") has_dur = true;
-      if (key == "pid") has_pid = true;
-      if (key == "tid") has_tid = true;
-    }
-    scanner->SkipSpace();
-    if (scanner->Peek() == ',') {
-      scanner->set_pos(scanner->pos() + 1);
-      continue;
-    }
-    if (!scanner->Expect('}')) {
-      *why = scanner->error();
-      return false;
-    }
-    break;
-  }
-  if (!has_name || !has_ph || !has_ts || !has_dur || !has_pid || !has_tid) {
-    *why = "event object missing a required field "
-           "(name/ph/ts/dur/pid/tid)";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
+// Schema check.
 
 Status ValidateTraceJson(const std::string& text, size_t min_events) {
-  // Pass 1: the whole text must be one well-formed JSON value.
-  {
-    JsonScanner scanner(text);
-    if (!scanner.ParseValue() || !scanner.AtEnd()) {
-      return Status::ParseError(
-          "trace is not well-formed JSON: " +
-          (scanner.error().empty() ? "trailing garbage" : scanner.error()));
-    }
+  Result<json::Value> doc = json::Parse(text);
+  if (!doc.ok()) {
+    return Status::ParseError("trace is not well-formed JSON: " +
+                              std::string(doc.status().message()));
   }
-  // Pass 2: structural schema. Walk to the "traceEvents" array and check
-  // each element.
-  JsonScanner scanner(text);
-  scanner.SkipSpace();
-  if (scanner.Peek() != '{') {
+  if (!doc->is_object()) {
     return Status::ParseError("trace top level is not a JSON object");
   }
-  scanner.set_pos(scanner.pos() + 1);
-  size_t num_events = 0;
-  bool saw_trace_events = false;
-  scanner.SkipSpace();
-  if (scanner.Peek() != '}') {
-    while (true) {
-      scanner.SkipSpace();
-      std::string key;
-      if (!scanner.ParseString(&key)) {
-        return Status::ParseError(scanner.error());
-      }
-      scanner.SkipSpace();
-      if (!scanner.Expect(':')) return Status::ParseError(scanner.error());
-      if (key == "traceEvents") {
-        saw_trace_events = true;
-        scanner.SkipSpace();
-        if (scanner.Peek() != '[') {
-          return Status::ParseError("\"traceEvents\" is not an array");
-        }
-        scanner.set_pos(scanner.pos() + 1);
-        scanner.SkipSpace();
-        if (scanner.Peek() == ']') {
-          scanner.set_pos(scanner.pos() + 1);
-        } else {
-          while (true) {
-            scanner.SkipSpace();
-            if (scanner.Peek() != '{') {
-              return Status::ParseError("trace event is not an object");
-            }
-            std::string why;
-            if (!ValidateEventObject(&scanner, &why)) {
-              return Status::ParseError(why);
-            }
-            ++num_events;
-            scanner.SkipSpace();
-            if (scanner.Peek() == ',') {
-              scanner.set_pos(scanner.pos() + 1);
-              continue;
-            }
-            if (!scanner.Expect(']')) {
-              return Status::ParseError(scanner.error());
-            }
-            break;
-          }
-        }
-      } else {
-        if (!scanner.ParseValue()) return Status::ParseError(scanner.error());
-      }
-      scanner.SkipSpace();
-      if (scanner.Peek() == ',') {
-        scanner.set_pos(scanner.pos() + 1);
-        continue;
-      }
-      if (!scanner.Expect('}')) return Status::ParseError(scanner.error());
-      break;
-    }
-  }
-  if (!saw_trace_events) {
+  const json::Value* events = doc->Find("traceEvents");
+  if (events == nullptr) {
     return Status::ParseError("trace has no \"traceEvents\" key");
   }
+  if (!events->is_array()) {
+    return Status::ParseError("\"traceEvents\" is not an array");
+  }
+  for (const json::Value& event : events->AsArray()) {
+    if (!event.is_object()) {
+      return Status::ParseError("trace event is not an object");
+    }
+    for (const char* key : {"name", "ph", "ts", "dur", "pid", "tid"}) {
+      if (event.Find(key) == nullptr) {
+        return Status::ParseError(
+            "event object missing a required field "
+            "(name/ph/ts/dur/pid/tid)");
+      }
+    }
+    for (const char* key : {"name", "ph", "cat"}) {
+      const json::Value* v = event.Find(key);
+      if (v != nullptr && !v->is_string()) {
+        return Status::ParseError(std::string("event field \"") + key +
+                                  "\" is not a string");
+      }
+    }
+    for (const char* key : {"ts", "dur", "pid", "tid"}) {
+      if (!event.Find(key)->is_number()) {
+        return Status::ParseError(std::string("event field \"") + key +
+                                  "\" is not a number");
+      }
+    }
+  }
+  const size_t num_events = events->AsArray().size();
   if (num_events < min_events) {
     return Status::Invalid("trace holds " + std::to_string(num_events) +
                            " event(s), expected at least " +

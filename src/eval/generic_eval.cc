@@ -63,10 +63,12 @@ struct Engine {
   std::vector<std::unique_ptr<TupleSearcher>> searchers;
 
   std::vector<VertexId> assignment;
-  // In record mode this set persists across a worker's branches: an answer
-  // suppressed here was recorded by an earlier branch of the same worker,
-  // which the ordered replay always consumes first.
+  // In record mode this set persists across a worker's branches while
+  // their values ascend (ResetForBranch clears it when they do not), so an
+  // answer suppressed here was recorded by a smaller branch of the same
+  // worker, which the ordered replay always consumes first.
   std::unordered_set<std::vector<VertexId>, VectorHash<VertexId>> answers;
+  VertexId last_branch = 0;
   EvalResult result;
   bool done = false;
 
@@ -120,7 +122,12 @@ struct Engine {
     return Status();  // Default-constructed == OK.
   }
 
-  void ResetForBranch(std::vector<RecordedAnswer>* branch_record) {
+  void ResetForBranch(VertexId branch,
+                      std::vector<RecordedAnswer>* branch_record) {
+    // A worker runs each chunk's branches in ascending order but takes
+    // chunks last-in first-out and steals, so its branch values can drop.
+    if (branch < last_branch) answers.clear();
+    last_branch = branch;
     record = branch_record;
     done = false;
     result.aborted = false;
@@ -336,7 +343,7 @@ Result<EvalResult> EvaluateParallel(
       obs::Add(eng.shard, obs::CounterId::kBranchesExplored);
       obs::ScopedTimer branch_timer(eng.shard,
                                     obs::HistogramId::kPhaseBranchNs);
-      eng.ResetForBranch(&branches[b].events);
+      eng.ResetForBranch(static_cast<VertexId>(b), &branches[b].events);
       eng.assignment = base_assignment;
       eng.assignment[branch_var] = static_cast<VertexId>(b);
       eng.SolveComponent(0, isolated_free);

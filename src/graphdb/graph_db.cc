@@ -40,23 +40,26 @@ void GraphDb::BuildCsr() const {
     out_offsets_[v + 1] += out_offsets_[v];
     in_offsets_[v + 1] += in_offsets_[v];
   }
+  // Fill the slices with each vertex's offset as its cursor; a filled
+  // slice's cursor ends where the next slice starts, so shifting the
+  // offsets right by one restores the starts. No scratch arrays: a rebuild
+  // after a mutation then allocates nothing, so it never pays glibc's
+  // deferred consolidation of small chunks freed by an earlier request.
   // Forward slices inherit (symbol, to) order from the canonical sort.
-  {
-    std::vector<uint32_t> cursor(out_offsets_.begin(), out_offsets_.end() - 1);
-    for (const EdgeRec& e : edges_) {
-      out_edges_[cursor[e.from]++] = LabeledEdge{e.symbol, e.to};
-    }
+  for (const EdgeRec& e : edges_) {
+    out_edges_[out_offsets_[e.from]++] = LabeledEdge{e.symbol, e.to};
+    in_edges_[in_offsets_[e.to]++] = LabeledEdge{e.symbol, e.from};
   }
-  // Backward slices: bucket by head, then sort each slice by (symbol, tail).
-  {
-    std::vector<uint32_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-    for (const EdgeRec& e : edges_) {
-      in_edges_[cursor[e.to]++] = LabeledEdge{e.symbol, e.from};
-    }
-    for (size_t v = 0; v < n; ++v) {
-      std::sort(in_edges_.begin() + in_offsets_[v],
-                in_edges_.begin() + in_offsets_[v + 1]);
-    }
+  for (size_t v = n; v > 0; --v) {
+    out_offsets_[v] = out_offsets_[v - 1];
+    in_offsets_[v] = in_offsets_[v - 1];
+  }
+  out_offsets_[0] = 0;
+  in_offsets_[0] = 0;
+  // Backward slices were bucketed by head; sort each by (symbol, tail).
+  for (size_t v = 0; v < n; ++v) {
+    std::sort(in_edges_.begin() + in_offsets_[v],
+              in_edges_.begin() + in_offsets_[v + 1]);
   }
   csr_valid_ = true;
 }

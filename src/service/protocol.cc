@@ -1,7 +1,6 @@
 #include "service/protocol.h"
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 
 #include "common/json.h"
@@ -255,40 +254,6 @@ Result<ServiceRequest> ParseRequestLine(std::string_view line) {
       break;
   }
   return req;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* WireCodeName(StatusCode code) {

@@ -110,9 +110,6 @@ struct ServiceRequest {
 // owes the client a response line (see ErrorResponseLine).
 Result<ServiceRequest> ParseRequestLine(std::string_view line);
 
-// JSON string escaping for everything the service writes to the wire.
-std::string JsonEscape(std::string_view s);
-
 // Stable wire name of a status code ("invalid_argument",
 // "resource_exhausted", ...).
 const char* WireCodeName(StatusCode code);

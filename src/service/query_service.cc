@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -123,9 +124,9 @@ std::string PhasesJson(const obs::PhaseProfile& profile) {
   return out;
 }
 
-// Everything one "query" event-log record carries; filled progressively
-// along the ExecuteQuery path and rendered once at the end.
-// docs/OBSERVABILITY.md documents the rendered schema.
+// Everything one "query" event-log record carries. ExecuteQuery fills the
+// outcome fields along its path and the rest only once it knows the record
+// will be written. docs/OBSERVABILITY.md documents the rendered schema.
 struct QueryEventData {
   std::string trace_id;
   std::string request_id;
@@ -278,18 +279,19 @@ QueryService::GraphEntry* QueryService::InstallGraph(const std::string& name,
 ServiceSession::ServiceSession(QueryService* service)
     : service_(service),
       shard_(service->metrics_.AcquireShard()),
-      session_id_(service->next_session_id_.fetch_add(1) + 1) {}
+      session_id_(service->next_session_id_.fetch_add(1) + 1) {
+  if (service->config_.telemetry) trace_ = std::make_unique<obs::Trace>();
+}
 
 std::string ServiceSession::HandleLine(std::string_view line) {
   // Request latency from arrival to response bytes — admission queueing
   // and evaluation included; what a client actually waits for.
   obs::ScopedTimer timer(shard_, obs::HistogramId::kServiceRequestNs);
-  const bool telemetry = service_->config_.telemetry;
-  const uint64_t flight_start_ns = telemetry ? recorder_.NowNs() : 0;
+  const bool telemetry = trace_ != nullptr;
+  const uint64_t start_ns = telemetry ? obs::Trace::NowNs() : 0;
   if (line.size() > service_->config_.max_line_bytes) {
     if (telemetry) {
-      RecordFlightEvent("protocol_error", flight_start_ns,
-                        recorder_.NowNs() - flight_start_ns, ++request_seq_);
+      RecordRequestEvent("protocol_error", start_ns);
       MaybeDumpPostmortem("protocol-error");
     }
     return ErrorResponseLine(nullptr, StatusCode::kCapacityExceeded,
@@ -315,8 +317,7 @@ std::string ServiceSession::HandleLine(std::string_view line) {
       }
     }
     if (telemetry) {
-      RecordFlightEvent("protocol_error", flight_start_ns,
-                        recorder_.NowNs() - flight_start_ns, ++request_seq_);
+      RecordRequestEvent("protocol_error", start_ns);
       MaybeDumpPostmortem(trace_id.empty() ? "protocol-error" : trace_id);
       obs::EventLog* log = service_->event_log_.get();
       if (log != nullptr) {
@@ -335,10 +336,7 @@ std::string ServiceSession::HandleLine(std::string_view line) {
                              req->trace_id);
   }
   Result<std::string> response = Execute(*req);
-  if (telemetry) {
-    RecordFlightEvent("service_request", flight_start_ns,
-                      recorder_.NowNs() - flight_start_ns, ++request_seq_);
-  }
+  if (telemetry) RecordRequestEvent("service_request", start_ns);
   if (!response.ok()) {
     return ErrorResponseLine(&req->id, response.status().code(),
                              response.status().message(), req->trace_id);
@@ -376,7 +374,7 @@ Result<std::string> ServiceSession::Execute(const ServiceRequest& req) {
 }
 
 Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
-  const bool telemetry = service_->config_.telemetry;
+  const bool telemetry = trace_ != nullptr;
   // The request's span/trace identity: the client's trace_id when supplied
   // (echoed on the wire), else a deterministic server-generated id that is
   // NEVER echoed — response bytes without a client trace_id must not
@@ -384,21 +382,25 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
   const std::string trace_id =
       !telemetry ? std::string()
                  : (req.trace_id.empty() ? "auto:" + req.id : req.trace_id);
-  const uint64_t flight_start_ns = telemetry ? recorder_.NowNs() : 0;
+  const uint64_t start_ns = telemetry ? obs::Trace::NowNs() : 0;
+  const uint64_t trace_begin = telemetry ? trace_->NumRecorded() : 0;
 
   obs::Session session;
   obs::MetricsShard* session_shard = session.metrics().AcquireShard();
   if (telemetry) {
-    session.EnableTrace();
+    session.EnableTrace(trace_.get());
     session.SetTraceId(trace_id);
   }
 
+  // Kept past the evaluation for the event-log record, which is built only
+  // if it will be written.
   QueryEventData ev;
-  ev.trace_id = trace_id;
-  ev.request_id = req.id;
-  ev.graph = req.graph;
-  ev.engine = req.engine;
-  bool dump_postmortem = false;
+  std::optional<EcrpqQuery> query;
+  QueryClassification classification;
+  bool have_verdict = false;
+  // "admission_reject" or "budget_trip": recorded, and the buffer dumped
+  // as a postmortem, once the request is done.
+  const char* postmortem_event = nullptr;
 
   Result<std::string> response = [&]() -> Result<std::string> {
     QueryService::GraphEntry* entry = service_->FindGraph(req.graph);
@@ -440,12 +442,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     if (!admitted.ok()) {
       ev.budget_outcome = "rejected";
       ev.budget_reason = std::string(admitted.status().message());
-      dump_postmortem = true;
-      if (telemetry) {
-        RecordFlightEvent("admission_reject", flight_start_ns,
-                          recorder_.NowNs() - flight_start_ns,
-                          ++request_seq_);
-      }
+      postmortem_event = "admission_reject";
       return admitted.status();
     }
     AdmissionTicket ticket = std::move(admitted).ValueOrDie();
@@ -455,11 +452,9 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     GraphReadClaim read_claim(entry);
     const GraphDb& db = entry->db;
 
-    Result<EcrpqQuery> query = ParseEcrpq(req.query, db.alphabet());
-    if (!query.ok()) return query.status();
-    if (telemetry) {
-      ev.query_key_hash = HexHash64(HashBytes(CanonicalQueryKey(*query)));
-    }
+    Result<EcrpqQuery> parsed = ParseEcrpq(req.query, db.alphabet());
+    if (!parsed.ok()) return parsed.status();
+    query = std::move(parsed).ValueOrDie();
 
     if (!budget.Unlimited()) {
       session.SetBudget(budget);
@@ -477,14 +472,13 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
     options.disable_cache = no_cache;
     options.obs = &session;
     const bool classified = !options.engine.has_value();
-    QueryClassification classification;
     Result<EvalResult> result = Status::Internal("unset");
     {
       // The request-level span everything the engines record nests under.
       obs::Span request_span(session.trace(), "service_request");
       result = EvaluatePlanned(db, *query, options, {}, &classification);
     }
-    if (classified && telemetry) ev.verdict_json = classification.ToJson();
+    have_verdict = classified;
 
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kResourceExhausted) {
@@ -494,12 +488,7 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
                                : std::string(result.status().message());
         ev.status_code = WireCodeName(StatusCode::kResourceExhausted);
         ev.message = std::string(result.status().message());
-        dump_postmortem = true;
-        if (telemetry) {
-          RecordFlightEvent("budget_trip", flight_start_ns,
-                            recorder_.NowNs() - flight_start_ns,
-                            ++request_seq_);
-        }
+        postmortem_event = "budget_trip";
         // A tripped budget still owes the client its partial stats — the
         // "what had it done so far" channel, same as the CLI's exit-3
         // path.
@@ -534,29 +523,40 @@ Result<std::string> ServiceSession::ExecuteQuery(const ServiceRequest& req) {
   }
 
   if (telemetry) {
-    const uint64_t dur_ns = recorder_.NowNs() - flight_start_ns;
-    ev.latency_ns = dur_ns;
-    ev.phases_json = PhasesJson(session.PhaseProfile());
-    const obs::StatsReport report = session.Report();
-    ev.cache_hits = report[obs::CounterId::kCacheHits];
-    ev.cache_misses = report[obs::CounterId::kCacheMisses];
-    ev.cache_evictions = report[obs::CounterId::kCacheEvictions];
-    // Retain the finished trace for the `trace` op — errors included;
-    // that is exactly when the span tree is wanted.
-    RetainTrace(trace_id, session.trace()->ToJson(trace_id));
-    RecordFlightEvent("query", flight_start_ns, dur_ns, ++request_seq_);
-    if (dump_postmortem) MaybeDumpPostmortem(trace_id);
+    const uint64_t dur_ns = obs::Trace::NowNs() - start_ns;
+    const uint64_t spans_end = trace_->NumRecorded();
+    if (postmortem_event != nullptr) {
+      RecordRequestEvent(postmortem_event, start_ns);
+    }
+    RecordRequestEvent("query", start_ns);
+    // Retain the request's claim range for the `trace` op — errors
+    // included; that is exactly when the span tree is wanted.
+    RetainTrace(trace_id, trace_begin, trace_->NumRecorded());
+    if (postmortem_event != nullptr) MaybeDumpPostmortem(trace_id);
     obs::EventLog* log = service_->event_log_.get();
-    if (log != nullptr) {
-      const bool is_error = ev.status_code != std::string_view("ok");
-      const int64_t latency_ms =
-          static_cast<int64_t>(dur_ns / uint64_t{1000000});
-      // Errors and budget outcomes always log; ok queries only when they
-      // crossed the slow threshold (0 = log everything).
-      if (is_error || latency_ms >= service_->config_.slow_ms) {
-        log->Append(RenderQueryEvent(UnixMillisNow(), ev));
-        obs::Add(shard_, obs::CounterId::kTelemetryEventsLogged);
+    // Errors and budget outcomes always log; ok queries only when they
+    // crossed the slow threshold (0 = log everything).
+    if (log != nullptr &&
+        (ev.status_code != std::string_view("ok") ||
+         static_cast<int64_t>(dur_ns / uint64_t{1000000}) >=
+             service_->config_.slow_ms)) {
+      ev.trace_id = trace_id;
+      ev.request_id = req.id;
+      ev.graph = req.graph;
+      ev.engine = req.engine;
+      ev.latency_ns = dur_ns;
+      if (query.has_value()) {
+        ev.query_key_hash = HexHash64(HashBytes(CanonicalQueryKey(*query)));
       }
+      if (have_verdict) ev.verdict_json = classification.ToJson();
+      ev.phases_json =
+          PhasesJson(obs::BuildPhaseProfile(*trace_, trace_begin, spans_end));
+      const obs::StatsReport report = session.Report();
+      ev.cache_hits = report[obs::CounterId::kCacheHits];
+      ev.cache_misses = report[obs::CounterId::kCacheMisses];
+      ev.cache_evictions = report[obs::CounterId::kCacheEvictions];
+      log->Append(RenderQueryEvent(UnixMillisNow(), ev));
+      obs::Add(shard_, obs::CounterId::kTelemetryEventsLogged);
     }
   }
   return response;
@@ -583,14 +583,19 @@ Result<std::string> ServiceSession::ExecuteStats(const ServiceRequest& req) {
 }
 
 Result<std::string> ServiceSession::ExecuteTrace(const ServiceRequest& req) {
-  const std::string* trace_json = FindRetainedTrace(req.trace_id);
-  if (trace_json == nullptr) {
+  const RetainedTrace* retained = FindRetainedTrace(req.trace_id);
+  // Once later requests have overwritten every event of a retained range,
+  // the trace is gone. A partly overwritten one renders what is left: its
+  // outer spans close last, so they stay longest.
+  if (retained == nullptr ||
+      retained->end + obs::Trace::kCapacity <= trace_->NumRecorded()) {
     return Status::NotFound("no retained trace for trace_id '" +
                             req.trace_id + "'");
   }
   ResponseBuilder b(req.id);
   b.AddString("trace_id", req.trace_id);
-  b.AddRaw("trace", *trace_json);
+  b.AddRaw("trace",
+           trace_->ToJson(req.trace_id, retained->begin, retained->end));
   return b.Finish();
 }
 
@@ -642,45 +647,36 @@ Result<std::string> ServiceSession::ExecuteMutation(
   return b.Finish();
 }
 
-void ServiceSession::RetainTrace(const std::string& trace_id,
-                                 std::string trace_json) {
-  // The wire is line-delimited: flatten the pretty-printed trace to one
-  // line so it can be embedded raw in a `trace` response. JSON whitespace
-  // is insignificant, so the result still validates.
-  std::replace(trace_json.begin(), trace_json.end(), '\n', ' ');
-  while (!trace_json.empty() && trace_json.back() == ' ') {
-    trace_json.pop_back();
-  }
+void ServiceSession::RetainTrace(const std::string& trace_id, uint64_t begin,
+                                 uint64_t end) {
   // A re-used trace_id replaces its previous trace (latest wins).
   for (auto it = recent_traces_.begin(); it != recent_traces_.end(); ++it) {
-    if (it->first == trace_id) {
+    if (it->trace_id == trace_id) {
       recent_traces_.erase(it);
       break;
     }
   }
-  recent_traces_.emplace_back(trace_id, std::move(trace_json));
+  recent_traces_.push_back(RetainedTrace{trace_id, begin, end});
   while (recent_traces_.size() > kMaxRetainedTraces) {
     recent_traces_.pop_front();
   }
 }
 
-const std::string* ServiceSession::FindRetainedTrace(
+const ServiceSession::RetainedTrace* ServiceSession::FindRetainedTrace(
     const std::string& trace_id) const {
   for (auto it = recent_traces_.rbegin(); it != recent_traces_.rend(); ++it) {
-    if (it->first == trace_id) return &it->second;
+    if (it->trace_id == trace_id) return &*it;
   }
   return nullptr;
 }
 
-void ServiceSession::RecordFlightEvent(const char* name, uint64_t start_ns,
-                                       uint64_t dur_ns, uint64_t arg) {
-  recorder_.Record(name, obs::CurrentTraceThreadId(), start_ns, dur_ns, arg);
-  // Mirror into the process-wide recorder backing the fatal-signal dump.
-  // Its time base differs, so the event is re-anchored to "ends now".
-  obs::FlightRecorder& process = obs::FlightRecorder::Process();
-  const uint64_t now_ns = process.NowNs();
-  process.Record(name, obs::CurrentTraceThreadId(),
-                 now_ns >= dur_ns ? now_ns - dur_ns : 0, dur_ns, arg);
+void ServiceSession::RecordRequestEvent(const char* name, uint64_t start_ns) {
+  const uint64_t dur_ns = obs::Trace::NowNs() - start_ns;
+  const int tid = obs::CurrentTraceThreadId();
+  ++request_seq_;
+  trace_->Record(name, tid, start_ns, dur_ns, request_seq_);
+  // Mirrored into the process-wide buffer the fatal-signal dump drains.
+  obs::Trace::Process().Record(name, tid, start_ns, dur_ns, request_seq_);
 }
 
 void ServiceSession::MaybeDumpPostmortem(const std::string& trace_id) {
@@ -689,7 +685,7 @@ void ServiceSession::MaybeDumpPostmortem(const std::string& trace_id) {
   const std::string path = dir + "/postmortem_s" +
                            std::to_string(session_id_) + "_" +
                            std::to_string(++postmortem_seq_) + ".json";
-  if (recorder_.DumpToFile(path, trace_id).ok()) {
+  if (trace_->WriteFile(path, trace_id).ok()) {
     obs::Add(shard_, obs::CounterId::kTelemetryPostmortemDumps);
   }
 }

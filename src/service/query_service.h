@@ -18,16 +18,19 @@
 //    (ThreadPool::Shared via EvalOptions::num_threads = pool_threads),
 //    so concurrent queries share workers instead of spawning threads.
 //
-// Telemetry (ServiceConfig::telemetry, default on): every query runs under
-// an obs::Session with tracing enabled and a request-scoped trace id —
-// client-supplied via the wire "trace_id" field, else the deterministic
-// "auto:" + request id. The finished trace is retained per session (the
-// `trace` op serves it back as chrome://tracing JSON), the query is
-// appended to the event log when one is configured, and a per-session
-// flight recorder keeps a lock-free ring of recent request events that is
-// dumped as a postmortem on budget trips, admission rejections and
-// protocol errors (and, process-wide, on fatal signals — see
-// common/flight_recorder.h). A client-supplied trace_id is echoed on every
+// Telemetry (ServiceConfig::telemetry, default on): each session owns one
+// bounded span buffer (obs::Trace, common/trace.h). Every query runs under
+// an obs::Session that records its engine spans into that buffer under a
+// request-scoped trace id — client-supplied via the wire "trace_id" field,
+// else the deterministic "auto:" + request id — and the request-level
+// events (service_request, query, protocol_error, admission_reject,
+// budget_trip) land there too, mirrored into the process-wide buffer the
+// fatal-signal dump drains. Nothing is rendered per query: the session
+// keeps the claim range of its newest traces, and JSON is built only when
+// read — by the `trace` op, by a postmortem dump (budget trips, admission
+// rejections, protocol errors) or by the fatal-signal dump. The event-log
+// record, when a log is configured and the query qualifies, is the only
+// per-query rendering. A client-supplied trace_id is echoed on every
 // response line; an absent one changes no response byte, which is what
 // keeps the differential suite's byte-determinism contract intact.
 //
@@ -62,10 +65,10 @@
 
 #include "common/annotations.h"
 #include "common/event_log.h"
-#include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/obs.h"
 #include "common/telemetry.h"
+#include "common/trace.h"
 #include "graphdb/graph_db.h"
 #include "service/admission.h"
 #include "service/protocol.h"
@@ -88,8 +91,8 @@ struct ServiceConfig {
   // never parsed.
   size_t max_line_bytes = 1 << 20;
 
-  // Request telemetry (see the header comment). Off = no per-query
-  // tracing, no trace retention, no event log, no flight-recorder events —
+  // Request telemetry (see the header comment). Off = no span buffer, no
+  // per-query tracing, no trace retention, no event log, no postmortems —
   // the configuration the telemetry-overhead bench compares against.
   bool telemetry = true;
   // JSON-lines event log path; empty disables the log.
@@ -97,7 +100,8 @@ struct ServiceConfig {
   // Queries faster than this stay out of the event log (0 = log every
   // query). Errors and budget trips are always logged.
   int64_t slow_ms = 0;
-  // Directory for flight-recorder postmortem dumps; empty disables them.
+  // Directory for postmortem dumps of a session's span buffer; empty
+  // disables them.
   std::string postmortem_dir;
 };
 
@@ -182,6 +186,8 @@ class QueryService {
 class ServiceSession {
  public:
   // Traces retained for the `trace` op per session; oldest evicted first.
+  // A retained trace whose events the span buffer has since overwritten
+  // is gone as well.
   static constexpr size_t kMaxRetainedTraces = 16;
 
   ServiceSession(const ServiceSession&) = delete;
@@ -197,8 +203,9 @@ class ServiceSession {
   // drivers stop their loops on it.
   bool shutdown_requested() const { return shutdown_; }
 
-  // This session's flight recorder (postmortem/test hook).
-  const obs::FlightRecorder& flight_recorder() const { return recorder_; }
+  // This session's span buffer (test and bench hook); null with telemetry
+  // off.
+  const obs::Trace* trace() const { return trace_.get(); }
 
  private:
   friend class QueryService;
@@ -212,13 +219,19 @@ class ServiceSession {
   Result<std::string> ExecuteStats(const ServiceRequest& req);
   Result<std::string> ExecuteTrace(const ServiceRequest& req);
 
-  // Telemetry plumbing (all no-ops when config.telemetry is off).
-  void RetainTrace(const std::string& trace_id, std::string trace_json);
-  const std::string* FindRetainedTrace(const std::string& trace_id) const;
-  void RecordFlightEvent(const char* name, uint64_t start_ns,
-                         uint64_t dur_ns, uint64_t arg = 0);
-  // Dumps the session recorder to config.postmortem_dir (no-op when the
-  // dir is empty). `why` becomes part of the dumped trace's traceId.
+  // Telemetry plumbing; callers check that trace_ is set.
+  struct RetainedTrace {
+    std::string trace_id;
+    uint64_t begin = 0;  // Claim range of the request's events in trace_.
+    uint64_t end = 0;
+  };
+  void RetainTrace(const std::string& trace_id, uint64_t begin, uint64_t end);
+  const RetainedTrace* FindRetainedTrace(const std::string& trace_id) const;
+  // Records a request-level event from `start_ns` until now, with the
+  // request sequence number as its arg, here and in obs::Trace::Process().
+  void RecordRequestEvent(const char* name, uint64_t start_ns);
+  // Dumps the span buffer to config.postmortem_dir (no-op when the dir is
+  // empty), under `trace_id`.
   void MaybeDumpPostmortem(const std::string& trace_id);
 
   QueryService* service_;
@@ -228,10 +241,11 @@ class ServiceSession {
   uint64_t session_id_ = 0;
   uint64_t request_seq_ = 0;
   uint64_t postmortem_seq_ = 0;
-  obs::FlightRecorder recorder_;
-  // (trace_id, chrome-trace JSON), insertion order; linear scan is fine at
-  // kMaxRetainedTraces entries.
-  std::deque<std::pair<std::string, std::string>> recent_traces_;
+  // Engine spans and request-level events of every request, when
+  // telemetry is on.
+  std::unique_ptr<obs::Trace> trace_;
+  // Insertion order; linear scan is fine at kMaxRetainedTraces entries.
+  std::deque<RetainedTrace> recent_traces_;
 };
 
 }  // namespace ecrpq

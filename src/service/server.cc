@@ -75,7 +75,7 @@ Status SocketServer::ListenUnix(const std::string& path) {
     ::close(fd);
     return s;
   }
-  listen_fd_ = fd;
+  listen_fd_.store(fd, std::memory_order_release);
   unix_path_ = path;
   return Status::OK();
 }
@@ -113,13 +113,14 @@ Status SocketServer::ListenTcp(int port, int* bound_port) {
     }
     *bound_port = ntohs(bound.sin_port);
   }
-  listen_fd_ = fd;
+  listen_fd_.store(fd, std::memory_order_release);
   return Status::OK();
 }
 
 void SocketServer::Serve() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd =
+        ::accept(listen_fd_.load(std::memory_order_acquire), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // Stop() closed the listen socket.
@@ -132,12 +133,12 @@ void SocketServer::Serve() {
 
 void SocketServer::Stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  if (listen_fd_ >= 0) {
+  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) {
     // shutdown() wakes a blocked accept(); close() alone does not on all
     // platforms.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

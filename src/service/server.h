@@ -51,7 +51,8 @@ class SocketServer {
   void HandleConnection(int fd);
 
   QueryService* service_;
-  int listen_fd_ = -1;
+  // Read by Serve(), taken (exchanged for -1) by Stop() from any thread.
+  std::atomic<int> listen_fd_{-1};
   std::string unix_path_;  // Non-empty => unlink on teardown.
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> connections_;  // Touched only by Serve().

@@ -115,6 +115,42 @@ TEST(ParallelDeterminismTest, StreamingCallbackSequence) {
   EXPECT_EQ(stream(1), stream(4));
 }
 
+// With two workers, 64 branches are dealt round-robin in chunks of four:
+// worker 0 gets [0, 4), [8, 12), ... and runs them last chunk first;
+// worker 1 gets [4, 8), [12, 16), ..., here made slow (each of its branch
+// vertices reaches every vertex), so worker 0 runs y = 8 and then y = 0
+// itself instead of losing y = 0 to a steal. Both reach x = 1, and the
+// stream must still be the sequential one, which meets x = 1 at y = 0.
+TEST(ParallelDeterminismTest, BranchesRunOutOfOrderStillStreamInOrder) {
+  GraphDb db(kAb);
+  db.AddVertices(64);
+  db.AddEdge(0, "a", 1);
+  db.AddEdge(8, "a", 0);
+  db.AddEdge(8, "a", 1);
+  for (VertexId y = 4; y < 64; y += 8) {
+    for (VertexId v = y; v < y + 4; ++v) {
+      for (VertexId x = 0; x < 64; ++x) db.AddEdge(v, "a", x);
+    }
+  }
+  const EcrpqQuery q = Parse("q(x) := y -[/a/]-> x");
+  auto stream = [&](int num_threads) {
+    std::vector<std::vector<VertexId>> streamed;
+    EvalOptions options;
+    options.num_threads = num_threads;
+    options.on_answer = [&](const std::vector<VertexId>& answer) {
+      streamed.push_back(answer);
+      return true;
+    };
+    Eval(db, q, options);
+    return streamed;
+  };
+  const std::vector<std::vector<VertexId>> sequential = stream(1);
+  ASSERT_EQ(sequential.front(), std::vector<VertexId>{1});
+  for (int run = 0; run < 20; ++run) {
+    ASSERT_EQ(stream(2), sequential) << "run " << run;
+  }
+}
+
 TEST(ParallelDeterminismTest, StreamingEarlyStopCount) {
   const GraphDb db = CycleGraph(8, "ab");
   const EcrpqQuery q = Parse("q(x, y) := x -[/a|b/]-> y");

@@ -1,11 +1,13 @@
 // Service-level request telemetry: trace_id propagation and echo, the
-// `trace` wire op, budget-trip partial stats carrying histogram
-// percentiles, flight-recorder postmortems, and the slow-query event log —
-// the end-to-end story docs/OBSERVABILITY.md promises.
+// `trace` wire op and its retention rule, budget-trip partial stats
+// carrying histogram percentiles, span-buffer postmortems, and the
+// slow-query event log — the end-to-end story docs/OBSERVABILITY.md
+// promises.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -213,8 +215,8 @@ TEST(ServiceTelemetryTest, BudgetTripPartialStatsIncludesPercentiles) {
   EXPECT_EQ(count, 1u) << "one admission wait for this request";
 }
 
-// Satellite pin: the flight-recorder postmortem written on a budget trip
-// is a ValidateTraceJson-conformant trace file.
+// Satellite pin: the postmortem written on a budget trip is a
+// ValidateTraceJson-conformant trace file, engine spans included.
 TEST(ServiceTelemetryTest, PostmortemDumpAfterBudgetTripValidates) {
   const std::string dir = ScratchDir("postmortem");
   // First session of this service => session id 1, first dump => seq 1.
@@ -239,6 +241,10 @@ TEST(ServiceTelemetryTest, PostmortemDumpAfterBudgetTripValidates) {
   std::string trace_id;
   ASSERT_TRUE(doc->GetString("traceId", &trace_id)) << dumped;
   EXPECT_EQ(trace_id, "boom-7");
+  EXPECT_NE(dumped.find("\"name\":\"budget_trip\""), std::string::npos)
+      << dumped;
+  EXPECT_NE(dumped.find("\"name\":\"EvaluateGeneric\""), std::string::npos)
+      << dumped;
   std::remove(expected.c_str());
 }
 
@@ -350,16 +356,58 @@ TEST(ServiceTelemetryTest, ProtocolErrorsLandInTheEventLog) {
   std::remove(path.c_str());
 }
 
-TEST(ServiceTelemetryTest, FlightRecorderAccumulatesPerRequestEvents) {
+TEST(ServiceTelemetryTest, SessionBufferAccumulatesPerRequestEvents) {
   QueryService service{ServiceConfig{}};
   auto session = service.OpenSession();
   BuildChain(session.get(), 3);
-  const uint64_t before = session->flight_recorder().NumRecorded();
+  const uint64_t before = session->trace()->NumRecorded();
   session->HandleLine(
       "{\"id\":\"q\",\"op\":\"query\",\"query\":\"q(x) := x -[/a/]-> y\"}");
-  EXPECT_GT(session->flight_recorder().NumRecorded(), before);
-  EXPECT_TRUE(
-      ValidateTraceJson(session->flight_recorder().ToTraceJson()).ok());
+  // The query's engine spans and its request-level events share the one
+  // buffer.
+  const std::vector<obs::Trace::Event> events =
+      session->trace()->Events(before);
+  std::vector<std::string> names;
+  for (const obs::Trace::Event& e : events) names.push_back(e.name);
+  for (const char* want : {"service_request", "query"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
+        << want;
+  }
+  EXPECT_GT(events.size(), 3u) << "engine spans missing";
+  EXPECT_TRUE(ValidateTraceJson(session->trace()->ToJson()).ok());
+
+  // Telemetry off: no buffer at all.
+  ServiceConfig off;
+  off.telemetry = false;
+  QueryService quiet(off);
+  EXPECT_EQ(quiet.OpenSession()->trace(), nullptr);
+}
+
+TEST(ServiceTelemetryTest, OverwrittenTraceRangeIsNotFound) {
+  QueryService service{ServiceConfig{}};
+  auto session = service.OpenSession();
+  BuildChain(session.get(), 3);
+  const std::string query =
+      "\"op\":\"query\",\"query\":\"q(x) := x -[/a/]-> y\"";
+  session->HandleLine("{\"id\":\"old\"," + query + "}");
+  auto fetch_old = [&](const std::string& id) {
+    return session->HandleLine(
+        "{\"id\":\"" + id + "\",\"op\":\"trace\",\"trace_id\":\"auto:old\"}");
+  };
+  ASSERT_NE(fetch_old("t1").find("\"traceEvents\""), std::string::npos);
+  // Each ping records one request-level event; enough of them overwrite
+  // every event of "old" while it is still among the retained traces.
+  for (size_t i = 0; i < obs::Trace::kCapacity; ++i) {
+    session->HandleLine("{\"id\":\"p" + std::to_string(i) +
+                        "\",\"op\":\"ping\"}");
+  }
+  EXPECT_NE(fetch_old("t2").find("\"code\":\"not_found\""),
+            std::string::npos);
+  session->HandleLine("{\"id\":\"new\"," + query + "}");
+  const std::string fresh = session->HandleLine(
+      "{\"id\":\"t-new\",\"op\":\"trace\",\"trace_id\":\"auto:new\"}");
+  EXPECT_NE(fresh.find("\"status\":\"ok\""), std::string::npos) << fresh;
+  EXPECT_NE(fresh.find("\"name\":\"query\""), std::string::npos) << fresh;
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit coverage for the request-telemetry sinks: the TelemetryRegistry
 // exposition (format, determinism, gauge-group atomicity), the EventLog
-// JSON-lines appender, and the FlightRecorder ring (wraparound, trace
-// validity, file dumps).
+// JSON-lines appender, and the obs::Trace span buffer (wraparound, claim
+// ranges, trace validity under concurrent writers, file and fatal-signal
+// dumps).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "common/event_log.h"
-#include "common/flight_recorder.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
@@ -24,9 +25,9 @@ namespace {
 
 using obs::CounterId;
 using obs::EventLog;
-using obs::FlightRecorder;
 using obs::HistogramId;
 using obs::TelemetryRegistry;
+using obs::Trace;
 using obs::ValidateTraceJson;
 
 std::string TempPath(const std::string& name) {
@@ -171,13 +172,14 @@ TEST(EventLogTest, ConcurrentAppendsNeverInterleaveWithinALine) {
   std::remove(path.c_str());
 }
 
-TEST(FlightRecorderTest, RetainedWindowValidatesAsTraceJson) {
-  FlightRecorder recorder(/*capacity=*/8);
-  recorder.Record("parse", 0, 100, 50);
-  recorder.Record("evaluate", 0, 200, 300, /*arg=*/7);
-  EXPECT_EQ(recorder.NumRecorded(), 2u);
-  const std::string json = recorder.ToTraceJson("t-42");
+TEST(TraceTest, RetainedWindowValidatesAsTraceJson) {
+  Trace trace;
+  trace.Record("parse", 0, 100, 50);
+  trace.Record("evaluate", 0, 200, 300, /*arg=*/7);
+  EXPECT_EQ(trace.NumRecorded(), 2u);
+  const std::string json = trace.ToJson("t-42");
   EXPECT_TRUE(ValidateTraceJson(json, /*min_events=*/2).ok()) << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos) << "one line: " << json;
   Result<json::Value> doc = json::Parse(json);
   ASSERT_TRUE(doc.ok());
   std::string trace_id;
@@ -185,21 +187,22 @@ TEST(FlightRecorderTest, RetainedWindowValidatesAsTraceJson) {
   EXPECT_EQ(trace_id, "t-42");
 }
 
-TEST(FlightRecorderTest, WraparoundKeepsOnlyTheNewestEvents) {
-  FlightRecorder recorder(/*capacity=*/4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    recorder.Record("event", 0, i * 100, 10, i);
+TEST(TraceTest, WraparoundKeepsOnlyTheNewestEvents) {
+  constexpr uint64_t kExtra = 6;
+  Trace trace;
+  for (uint64_t i = 0; i < Trace::kCapacity + kExtra; ++i) {
+    trace.Record("event", 0, i * 100, 10, i);
   }
-  EXPECT_EQ(recorder.NumRecorded(), 10u);
-  const std::string json = recorder.ToTraceJson();
-  ASSERT_TRUE(ValidateTraceJson(json, /*min_events=*/4).ok()) << json;
+  EXPECT_EQ(trace.NumRecorded(), Trace::kCapacity + kExtra);
+  const std::string json = trace.ToJson();
+  ASSERT_TRUE(ValidateTraceJson(json, /*min_events=*/Trace::kCapacity).ok());
   Result<json::Value> doc = json::Parse(json);
   ASSERT_TRUE(doc.ok());
   const json::Value* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  // Exactly the last `capacity` records survive, oldest first.
-  ASSERT_EQ(events->AsArray().size(), 4u);
+  // Exactly the last kCapacity records survive, oldest first.
+  ASSERT_EQ(events->AsArray().size(), Trace::kCapacity);
   double prev_ts = -1;
   for (const json::Value& event : events->AsArray()) {
     double ts = 0;
@@ -207,53 +210,98 @@ TEST(FlightRecorderTest, WraparoundKeepsOnlyTheNewestEvents) {
     EXPECT_GT(ts, prev_ts) << "events must be oldest-first";
     prev_ts = ts;
   }
+  uint64_t oldest = 0;
+  ASSERT_TRUE(events->AsArray()[0].Find("args")->GetUint64("v", &oldest));
+  EXPECT_EQ(oldest, kExtra);
+  // Claim ranges: an overwritten range is empty, a straddling one keeps
+  // its surviving part.
+  EXPECT_TRUE(trace.Events(0, kExtra).empty());
+  const std::vector<Trace::Event> straddling = trace.Events(kExtra - 2,
+                                                            kExtra + 3);
+  ASSERT_EQ(straddling.size(), 3u);
+  EXPECT_EQ(straddling[0].arg, kExtra);
 }
 
-TEST(FlightRecorderTest, DumpToFileWritesAValidPostmortem) {
+TEST(TraceTest, WriteFileWritesAValidPostmortem) {
   const std::string path = TempPath("postmortem.json");
   std::remove(path.c_str());
-  FlightRecorder recorder(/*capacity=*/8);
-  recorder.Record("service_request", 1, 10, 20);
-  ASSERT_TRUE(recorder.DumpToFile(path, "boom-1").ok());
+  Trace trace;
+  trace.Record("service_request", 1, 10, 20);
+  ASSERT_TRUE(trace.WriteFile(path, "boom-1").ok());
   const std::string dumped = Slurp(path);
   EXPECT_TRUE(ValidateTraceJson(dumped, /*min_events=*/1).ok()) << dumped;
+  Result<json::Value> doc = json::Parse(dumped);
+  ASSERT_TRUE(doc.ok());
+  std::string trace_id;
+  ASSERT_TRUE(doc->GetString("traceId", &trace_id)) << dumped;
+  EXPECT_EQ(trace_id, "boom-1");
   std::remove(path.c_str());
 
-  EXPECT_FALSE(
-      recorder.DumpToFile("/nonexistent-dir-zz/postmortem.json").ok());
+  EXPECT_FALSE(trace.WriteFile("/nonexistent-dir-zz/postmortem.json").ok());
 }
 
-TEST(FlightRecorderTest, ConcurrentWritersNeverBreakTheDump) {
-  FlightRecorder recorder(/*capacity=*/16);
+TEST(TraceTest, ConcurrentWritersNeverBreakTheDump) {
+  Trace trace;
   constexpr int kThreads = 4;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads + 1);
   std::atomic<bool> stop{false};
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&recorder, &stop, t] {
+    threads.emplace_back([&trace, &stop, t] {
       for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        recorder.Record("spin", t, i, 1);
+        trace.Record("spin", t, i, 1, i);
         if (i > 20000) break;
       }
     });
   }
-  // Dump repeatedly mid-write: torn slots are skipped, never emitted.
+  // A second reader folds profiles while the main thread renders.
+  threads.emplace_back([&trace, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (const obs::PhaseStats& p : obs::BuildPhaseProfile(trace).folded) {
+        EXPECT_EQ(p.name, "spin");
+      }
+    }
+  });
+  // Dump repeatedly mid-write: a slot is copied only when its stamp is
+  // unchanged around the copy, so a torn event is never emitted.
   for (int i = 0; i < 50; ++i) {
-    const std::string json = recorder.ToTraceJson();
-    ASSERT_TRUE(ValidateTraceJson(json).ok()) << json;
+    const std::string json = trace.ToJson();
+    EXPECT_TRUE(ValidateTraceJson(json).ok()) << json;
   }
   stop.store(true);
-  for (std::thread& w : writers) w.join();
-  // After the storm a lapped slot may retain an older writer's stamp and
-  // be (correctly) skipped — the documented drop-a-torn-record contract —
-  // so the drained window is valid but not necessarily full. One fresh
-  // single-writer lap must be fully readable again.
-  EXPECT_TRUE(ValidateTraceJson(recorder.ToTraceJson()).ok());
-  for (uint64_t i = 0; i < 16; ++i) {
-    recorder.Record("fresh", 0, i * 10, 1);
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(ValidateTraceJson(trace.ToJson()).ok());
+  // One fresh single-writer lap is fully readable again.
+  for (uint64_t i = 0; i < Trace::kCapacity; ++i) {
+    trace.Record("fresh", 0, i * 10, 1);
   }
   EXPECT_TRUE(
-      ValidateTraceJson(recorder.ToTraceJson(), /*min_events=*/16).ok());
+      ValidateTraceJson(trace.ToJson(), /*min_events=*/Trace::kCapacity).ok());
+}
+
+// The fatal-signal dump writes Process() from inside the handler, without
+// allocating, and the process still dies of the signal.
+TEST(TraceDeathTest, FatalSignalDumpWritesAValidTrace) {
+  constexpr uint64_t kEvents = 5;
+  const std::string path = TempPath("fatal.json");
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        for (uint64_t i = 0; i < kEvents; ++i) {
+          Trace::Process().Record("doomed", 0, i * 100, 10, i);
+        }
+        Trace::InstallFatalSignalDump(path);
+        std::raise(SIGABRT);
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+  const std::string dumped = Slurp(path);
+  EXPECT_TRUE(ValidateTraceJson(dumped, kEvents).ok()) << dumped;
+  Result<json::Value> doc = json::Parse(dumped);
+  ASSERT_TRUE(doc.ok()) << dumped;
+  std::string trace_id;
+  ASSERT_TRUE(doc->GetString("traceId", &trace_id)) << dumped;
+  EXPECT_EQ(trace_id, "fatal-signal");
+  std::remove(path.c_str());
 }
 
 }  // namespace

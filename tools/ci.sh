@@ -44,14 +44,16 @@ cmake --build build-tsan -j "$JOBS"
 # The threaded code paths: pool primitives, parallel determinism harness,
 # the CSR graph layout, the engines that fan out over the pool and the
 # observability layer (metrics shards, histogram recording, budget trips,
-# differential suite) and the service layer (admission controller under
-# saturation, concurrent sessions vs the sequential oracle, protocol fuzz).
+# differential suite, the span buffer under concurrent writers and
+# readers, the telemetry sinks) and the service layer (admission controller
+# under saturation, concurrent sessions vs the sequential oracle, protocol
+# fuzz, request telemetry, the socket server's Serve/Stop).
 # Run with a multi-worker default so the pool actually spawns threads even
 # when the suite's own options ask for the hardware default. Death tests
 # (BudgetInvariantsDeathTest etc.) stay out of the regex: fork-style death
 # tests and TSan don't mix.
 ECRPQ_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission'
+  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission|TraceTest|TelemetryRegistryTest|EventLogTest|ServiceTelemetry|SocketServer'
 
 echo "== [6/13] observability smoke (differential suite + CLI stats/trace/profile/budget) =="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
@@ -268,9 +270,9 @@ if ratio < 5.0:
 PYEOF
 fi
 # Telemetry-overhead gate over the same bench-smoke output: the default
-# request-telemetry configuration (per-query tracing, trace retention,
-# flight-recorder events) must cost <= 5% per query on the warm serving
-# path vs ServiceConfig::telemetry = false. Same skip knob: the margin is
+# request-telemetry configuration (per-query tracing into the session's
+# span buffer, request-level events, trace retention) must cost <= 5% per
+# query on the warm serving path vs ServiceConfig::telemetry = false. Same skip knob: the margin is
 # real but small, and a loaded machine can blur a few percent.
 if [ "${ECRPQ_SKIP_PERF_GATE:-0}" = "1" ]; then
   echo "telemetry overhead check skipped (ECRPQ_SKIP_PERF_GATE=1)."
@@ -309,7 +311,7 @@ mkdir -p "$TEL_TMP"
   echo "edge 2 a 3"
 } > "$TEL_TMP/graph.txt"
 # A served process with the full telemetry surface on: slow-ms=0 logs every
-# query, and the postmortem dir arms the flight-recorder dump path.
+# query, and the postmortem dir arms the postmortem and fatal-signal dumps.
 rm -f "$TEL_TMP/svc.sock"
 ECRPQ_THREADS=2 timeout 120 build/tools/ecrpq_cli serve \
   --listen-unix="$TEL_TMP/svc.sock" --graph="$TEL_TMP/graph.txt" \

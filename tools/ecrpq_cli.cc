@@ -28,7 +28,6 @@
 #include <string>
 #include <thread>
 
-#include "common/flight_recorder.h"
 #include "common/json.h"
 #include "common/obs.h"
 #include "eval/adaptive.h"
@@ -680,8 +679,8 @@ int Serve(const Args& args) {
     return 1;
   }
   if (!args.postmortem_dir.empty()) {
-    obs::FlightRecorder::InstallFatalSignalDump(args.postmortem_dir +
-                                                "/postmortem_fatal.json");
+    obs::Trace::InstallFatalSignalDump(args.postmortem_dir +
+                                       "/postmortem_fatal.json");
   }
 
   if (!args.batch_path.empty()) {
