@@ -16,7 +16,6 @@ using Tuple = std::vector<StateId>;
 
 struct Search {
   const std::vector<const Nfa*>& automata;
-  const IneOptions& options;
 
   std::unordered_map<Tuple, uint32_t, VectorHash<StateId>> id_of;
   std::vector<Tuple> tuples;
@@ -25,14 +24,11 @@ struct Search {
   std::deque<uint32_t> queue;
 
   // Interns a tuple; pushes it to the front (ε edge) or back (letter edge)
-  // of the 0/1-BFS deque if new. Returns false when the state budget is hit.
-  bool Visit(Tuple tuple, uint32_t from, Label label, bool front) {
+  // of the 0/1-BFS deque if new.
+  void Visit(Tuple tuple, uint32_t from, Label label, bool front) {
     auto [it, inserted] =
         id_of.emplace(std::move(tuple), static_cast<uint32_t>(tuples.size()));
-    if (!inserted) return true;
-    if (options.max_states != 0 && tuples.size() >= options.max_states) {
-      return false;
-    }
+    if (!inserted) return;
     tuples.push_back(it->first);
     parent.emplace_back(from, label);
     if (front) {
@@ -40,7 +36,6 @@ struct Search {
     } else {
       queue.push_back(it->second);
     }
-    return true;
   }
 
   bool AllAccepting(const Tuple& tuple) const {
@@ -61,31 +56,30 @@ struct Search {
   }
 
   // Enumerates all successor tuples of `tuple` under letter `a`, where
-  // component i must pick one of succs[i]. Returns false on budget overrun.
-  bool EmitLetterSuccessors(uint32_t from,
+  // component i must pick one of succs[i].
+  void EmitLetterSuccessors(uint32_t from,
                             const std::vector<std::vector<StateId>>& succs,
                             Label a) {
     Tuple scratch(succs.size());
-    return EmitRec(from, succs, a, 0, &scratch);
+    EmitRec(from, succs, a, 0, &scratch);
   }
 
-  bool EmitRec(uint32_t from, const std::vector<std::vector<StateId>>& succs,
+  void EmitRec(uint32_t from, const std::vector<std::vector<StateId>>& succs,
                Label a, size_t i, Tuple* scratch) {
     if (i == succs.size()) {
-      return Visit(*scratch, from, a, /*front=*/false);
+      Visit(*scratch, from, a, /*front=*/false);
+      return;
     }
     for (StateId s : succs[i]) {
       (*scratch)[i] = s;
-      if (!EmitRec(from, succs, a, i + 1, scratch)) return false;
+      EmitRec(from, succs, a, i + 1, scratch);
     }
-    return true;
   }
 };
 
 }  // namespace
 
-IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
-                               const IneOptions& options) {
+IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata) {
   IneResult result;
   if (automata.empty()) {
     // Empty intersection over A* — conventionally non-empty (ε).
@@ -93,7 +87,7 @@ IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
     return result;
   }
 
-  Search search{automata, options, {}, {}, {}, {}};
+  Search search{automata, {}, {}, {}, {}};
 
   // Seed with the cartesian product of initial states.
   {
@@ -129,8 +123,7 @@ IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
     }
   }
 
-  bool aborted = false;
-  while (!search.queue.empty() && !aborted) {
+  while (!search.queue.empty()) {
     const uint32_t id = search.queue.front();
     search.queue.pop_front();
     const Tuple tuple = search.tuples[id];  // Copy: vector may reallocate.
@@ -143,18 +136,14 @@ IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
     }
 
     // ε moves: one component at a time.
-    for (size_t i = 0; i < automata.size() && !aborted; ++i) {
+    for (size_t i = 0; i < automata.size(); ++i) {
       for (const Nfa::Transition& t : automata[i]->TransitionsFrom(tuple[i])) {
         if (t.label != kEpsilon) continue;
         Tuple next = tuple;
         next[i] = t.to;
-        if (!search.Visit(std::move(next), id, kEpsilon, /*front=*/true)) {
-          aborted = true;
-          break;
-        }
+        search.Visit(std::move(next), id, kEpsilon, /*front=*/true);
       }
     }
-    if (aborted) break;
 
     // Letter moves: candidate letters come from component 0's transitions.
     std::vector<Label> letters;
@@ -178,28 +167,23 @@ IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
         }
       }
       if (!feasible) continue;
-      if (!search.EmitLetterSuccessors(id, succs, a)) {
-        aborted = true;
-        break;
-      }
+      search.EmitLetterSuccessors(id, succs, a);
     }
   }
 
   result.non_empty = false;
-  result.aborted = aborted;
   result.explored_states = search.tuples.size();
   return result;
 }
 
-IneResult IntersectionNonEmpty(const std::vector<const Dfa*>& automata,
-                               const IneOptions& options) {
+IneResult IntersectionNonEmpty(const std::vector<const Dfa*>& automata) {
   std::vector<Nfa> nfas;
   nfas.reserve(automata.size());
   for (const Dfa* d : automata) nfas.push_back(d->ToNfa());
   std::vector<const Nfa*> ptrs;
   ptrs.reserve(nfas.size());
   for (const Nfa& n : nfas) ptrs.push_back(&n);
-  return IntersectionNonEmpty(ptrs, options);
+  return IntersectionNonEmpty(ptrs);
 }
 
 }  // namespace ecrpq

@@ -16,32 +16,21 @@
 
 namespace ecrpq {
 
-struct IneOptions {
-  // Abort after this many product states have been explored; returns nullopt
-  // from the *Witness variants and treats the instance as "unknown". 0 means
-  // unlimited.
-  size_t max_states = 0;
-};
-
 struct IneResult {
-  // True iff the intersection is non-empty (valid only if !aborted).
+  // True iff the intersection is non-empty.
   bool non_empty = false;
   // Shortest word in the intersection when non-empty.
   std::vector<Label> witness;
   // Number of product states explored (the PSPACE-ness made visible).
   size_t explored_states = 0;
-  // Search hit options.max_states before reaching a verdict.
-  bool aborted = false;
 };
 
 // On-the-fly BFS over the product of the automata. Never materializes the
 // product automaton. Works for NFAs with ε-transitions.
-IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata,
-                               const IneOptions& options = {});
+IneResult IntersectionNonEmpty(const std::vector<const Nfa*>& automata);
 
 // Convenience overload for DFAs.
-IneResult IntersectionNonEmpty(const std::vector<const Dfa*>& automata,
-                               const IneOptions& options = {});
+IneResult IntersectionNonEmpty(const std::vector<const Dfa*>& automata);
 
 }  // namespace ecrpq
 

@@ -207,6 +207,26 @@ std::string StatsReport::ToJson() const {
   return out.str();
 }
 
+void MetricsShard::Absorb(const StatsReport& report) {
+  for (int i = 0; i < kNumCounters; ++i) {
+    const CounterId id = static_cast<CounterId>(i);
+    if (CounterKindOf(id) == CounterKind::kMax) {
+      RecordMax(id, report.values[i]);
+    } else {
+      Add(id, report.values[i]);
+    }
+  }
+  for (int i = 0; i < kNumHistograms; ++i) {
+    const HistogramData& from = report.histograms[i];
+    Hist& h = histograms_[i];
+    for (int b = 0; b < kNumHistogramBuckets; ++b) {
+      h.buckets[b].fetch_add(from.buckets[b], std::memory_order_relaxed);
+    }
+    h.sum.fetch_add(from.sum, std::memory_order_relaxed);
+    StoreMax(h.max, from.max);
+  }
+}
+
 MetricsShard* Metrics::AcquireShard() {
   MutexLock lock(mutex_);
   shards_.emplace_back();

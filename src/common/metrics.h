@@ -194,11 +194,7 @@ class alignas(64) MetricsShard {
     counters_[static_cast<int>(id)].fetch_add(n, std::memory_order_relaxed);
   }
   void RecordMax(CounterId id, uint64_t v) {
-    std::atomic<uint64_t>& c = counters_[static_cast<int>(id)];
-    uint64_t cur = c.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !c.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    StoreMax(counters_[static_cast<int>(id)], v);
   }
   uint64_t Load(CounterId id) const {
     return counters_[static_cast<int>(id)].load(std::memory_order_relaxed);
@@ -210,11 +206,13 @@ class alignas(64) MetricsShard {
     Hist& h = histograms_[static_cast<int>(id)];
     h.buckets[HistogramBucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     h.sum.fetch_add(v, std::memory_order_relaxed);
-    uint64_t cur = h.max.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !h.max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+    StoreMax(h.max, v);
   }
+
+  // Folds a whole report into this shard, as if this shard's owner had
+  // done the reported work — how a nested evaluation's session hands its
+  // counters to the enclosing one.
+  void Absorb(const StatsReport& report);
 
   // Concurrent-read snapshot of one histogram (folded by Metrics).
   void LoadInto(HistogramId id, HistogramData* out) const {
@@ -227,6 +225,14 @@ class alignas(64) MetricsShard {
   }
 
  private:
+  // Relaxed CAS-max: raises `slot` to `v` unless it already holds more.
+  static void StoreMax(std::atomic<uint64_t>& slot, uint64_t v) {
+    uint64_t cur = slot.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+
   struct Hist {
     std::array<std::atomic<uint64_t>, kNumHistogramBuckets> buckets{};
     std::atomic<uint64_t> sum{};

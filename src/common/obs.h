@@ -9,12 +9,15 @@
 //    chrome://tracing JSON on demand, opt-in via EnableTrace()
 //    (common/trace.h);
 //  - EvalBudget: cooperative resource limits (product states, visited-set
-//    memory, wall-clock deadline). Workers poll CheckBudget() at a coarse
-//    stride; when a limit is crossed the session trips an atomic flag and
-//    its CancelToken, in-flight work unwinds, and the evaluation entry
-//    point returns Status::ResourceExhausted. The partial StatsReport
-//    stays readable on the session (Report()) — the "what had it done so
-//    far" channel for budget post-mortems.
+//    memory, wall-clock deadline), the only work limits an evaluation
+//    obeys. Workers poll CheckBudget() at a coarse stride; when a limit is
+//    crossed the session trips an atomic flag and its CancelToken,
+//    in-flight work unwinds, and the evaluation entry point returns
+//    Status::ResourceExhausted. The partial StatsReport stays readable on
+//    the session (Report()) — the "what had it done so far" channel for
+//    budget post-mortems. A nested evaluation with limits of its own (the
+//    adaptive engine's phase 1) runs under a session of its own and folds
+//    its counters into the enclosing one (MetricsShard::Absorb).
 //
 // Determinism contract: attaching a session with metrics/tracing (no
 // budget) never changes answers, cutoff behavior, or callback sequences —
@@ -48,9 +51,9 @@ namespace obs {
 // fires otherwise — arming an all-unlimited budget is a programmer error).
 struct EvalBudget {
   // Evaluation-wide cap on product states interned across every search
-  // (kProductStatesExpanded). Distinct from the *per-search* abort of
-  // EvalOptions::max_product_states, which predates budgets and returns an
-  // aborted-but-OK result.
+  // (kProductStatesExpanded). It also bounds the relations the Lemma 4.3
+  // pipeline materializes: each row is an accepting state some search
+  // interned.
   uint64_t max_product_states = 0;
   // Cap on bytes allocated for visited-set tracking (kVisitedBytes).
   uint64_t max_memory_bytes = 0;
@@ -61,6 +64,16 @@ struct EvalBudget {
   bool Unlimited() const {
     return max_product_states == 0 && max_memory_bytes == 0 &&
            timeout_millis == 0;
+  }
+
+  // This budget with the product-state cap lowered to `cap` (non-zero)
+  // unless it is already at most that.
+  EvalBudget WithProductStateCap(uint64_t cap) const {
+    EvalBudget capped = *this;
+    if (max_product_states == 0 || max_product_states > cap) {
+      capped.max_product_states = cap;
+    }
+    return capped;
   }
 
   // Always-on invariant checks (PR 1 dcheck.h pattern: the method uses

@@ -43,9 +43,12 @@ void FrontierScheduler::Start(size_t n, TaskFn fn) {
   workers_ =
       static_cast<int>(std::min<size_t>(pool_threads, num_chunks));
   // Seed chunks round-robin so every worker starts with a contiguous-ish
-  // slice of the index space. Seeding happens before any Submit: the
-  // scheduler is the deques' single writer here, and the pool's queue
-  // handoff publishes them to the workers.
+  // slice of the index space, pushed in descending order so that each
+  // owner pops its chunks in ascending order (the ordered replay of
+  // eval/generic_eval.cc waits for index 0 first) and thieves take the
+  // largest ones. Seeding happens before any Submit: the scheduler is the
+  // deques' single writer here, and the pool's queue handoff publishes
+  // them to the workers.
   const size_t per_worker =
       (num_chunks + static_cast<size_t>(workers_) - 1) /
       static_cast<size_t>(workers_);
@@ -54,7 +57,7 @@ void FrontierScheduler::Start(size_t n, TaskFn fn) {
   for (int w = 0; w < workers_; ++w) {
     deques_.push_back(std::make_unique<WorkStealingDeque>(per_worker));
   }
-  for (size_t c = 0; c < num_chunks; ++c) {
+  for (size_t c = num_chunks; c-- > 0;) {
     const size_t begin = c * chunk;
     const size_t end = std::min(n, begin + chunk);
     deques_[c % static_cast<size_t>(workers_)]->PushBottom(

@@ -7,8 +7,9 @@
 // out indices one at a time: cheap items pay one contended fetch_add each,
 // and an expensive item pins its worker while the counter starves everyone
 // of locality. The scheduler here seeds each worker with contiguous chunks
-// of the index space; a worker drains its own deque LIFO (cache-warm,
-// uncontended) and only when empty steals FIFO from a victim — the classic
+// of the index space, in descending order; a worker drains its own deque
+// LIFO (cache-warm, uncontended, so in ascending index order) and only when
+// empty steals FIFO from a victim (its largest chunk) — the classic
 // work-stealing recipe (Chase & Lev, SPAA'05) specialized to a static work
 // set, which is exactly what the evaluation fan-outs are: the index space
 // is known up front and chunks never spawn more chunks.

@@ -122,16 +122,10 @@ Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
 
   auto recurse = [&](auto&& self, size_t depth) -> void {
     if (done) return;
-    if (options.max_steps != 0 && result.steps >= options.max_steps) {
-      result.aborted = true;
-      done = true;
-      return;
-    }
     if (options.obs != nullptr &&
         (options.obs->Exhausted() ||
          ((++budget_tick & (kCqBudgetStride - 1)) == 0 &&
           options.obs->CheckBudget()))) {
-      result.aborted = true;
       done = true;
       return;
     }
@@ -151,13 +145,7 @@ Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
     }
     std::vector<CqVarId> newly_bound;
     for (const uint32_t row : rel.Matches(mask, key)) {
-      ++result.steps;
       obs::Add(shard, obs::CounterId::kAssignmentsTried);
-      if (options.max_steps != 0 && result.steps >= options.max_steps) {
-        result.aborted = true;
-        done = true;
-        break;
-      }
       const auto tuple = rel.Tuple(row);
       // Bind and check repeated variables within the atom.
       newly_bound.clear();
@@ -194,7 +182,6 @@ Result<bool> CqSatisfiable(const RelationalDb& db, const CqQuery& query) {
   options.max_answers = 1;
   ECRPQ_ASSIGN_OR_RAISE(CqEvalResult result,
                         CqEvaluateBacktracking(db, query, options));
-  if (result.aborted) return Status::CapacityExceeded("CQ evaluation aborted");
   return result.satisfiable;
 }
 

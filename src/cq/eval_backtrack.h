@@ -18,11 +18,8 @@ struct CqEvalOptions {
   // Stop after this many distinct answers (0 = unlimited). Satisfiability
   // checks pass 1.
   size_t max_answers = 0;
-  // Abort after this many backtracking steps (0 = unlimited).
-  size_t max_steps = 0;
   // Observability & resource-governance session (common/obs.h). A tripped
-  // budget turns the evaluation into Status::ResourceExhausted (the
-  // max_steps cutoff above instead returns OK with aborted = true). Null =
+  // budget turns the evaluation into Status::ResourceExhausted. Null =
   // zero overhead.
   obs::Session* obs = nullptr;
 };
@@ -32,8 +29,6 @@ struct CqEvalResult {
   // Distinct answers projected to free_vars (empty vector element for
   // Boolean queries when satisfiable).
   std::vector<std::vector<uint32_t>> answers;
-  size_t steps = 0;
-  bool aborted = false;
 };
 
 Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,

@@ -144,14 +144,9 @@ Result<CqEvalResult> CqEvaluateTreeDec(const RelationalDb& db,
       }
       for (size_t a : atoms_of_bag[b]) sub.atoms.push_back(query.atoms[a]);
       CqEvalOptions sub_options;
-      sub_options.max_steps = options.max_steps;
       sub_options.obs = options.obs;
       ECRPQ_ASSIGN_OR_RAISE(CqEvalResult sub_result,
                             CqEvaluateBacktracking(db, sub, sub_options));
-      if (sub_result.aborted) {
-        result.aborted = true;
-        return result;
-      }
       bags[b].tuples = std::move(sub_result.answers);
       obs::Add(shard, obs::CounterId::kBagTuplesMaterialized,
                bags[b].tuples.size());

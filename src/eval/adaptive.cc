@@ -36,15 +36,33 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
       std::max<size_t>(1, static_cast<size_t>(std::min(raw, 1e9)));
   if (report != nullptr) report->phase1_budget = budget;
 
+  // Phase 1 runs under a session of its own, armed with the caller's
+  // limits and the phase-1 budget as its product-state cap, whichever is
+  // tighter. It records spans into the caller's trace buffer, so they
+  // render with the caller's; its counters are folded into the caller's
+  // session afterwards, so the caller's Report() and budget see both
+  // phases.
+  obs::Session* caller = options.eval.obs;
+  obs::Session phase1_session;
+  obs::EvalBudget limits;
+  if (caller != nullptr) {
+    if (caller->trace() != nullptr) phase1_session.EnableTrace(caller->trace());
+    if (caller->armed()) limits = caller->budget();
+  }
+  phase1_session.SetBudget(limits.WithProductStateCap(budget));
+
   // Both phases stream through one deliverer: phase 2 must not re-deliver
   // what phase 1 streamed before it hit the budget.
   internal::DeliverOnce deliver;
   EvalOptions phase1 = deliver.Wrap(options.eval);
-  if (phase1.max_product_states == 0 || phase1.max_product_states > budget) {
-    phase1.max_product_states = budget;  // A tighter caller cap still holds.
+  phase1.obs = &phase1_session;
+  Result<EvalResult> result = EvaluateGeneric(db, query, phase1);
+  if (caller != nullptr) {
+    caller->metrics().AcquireShard()->Absorb(phase1_session.Report());
+    if (caller->CheckBudget()) return caller->ExhaustedStatus();
   }
-  ECRPQ_ASSIGN_OR_RAISE(EvalResult result, EvaluateGeneric(db, query, phase1));
-  if (result.aborted && !deliver.stopped) {
+  if (!result.ok() &&
+      result.status().code() == StatusCode::kResourceExhausted) {
     // Phase 2: the regime-prescribed engine under the caller's options
     // alone (PSPACE regime: the generic engine without the phase-1 budget).
     if (report != nullptr) {
@@ -53,10 +71,10 @@ Result<EvalResult> EvaluateAdaptive(const GraphDb& db,
     }
     EvalOptions phase2 = deliver.Wrap(options.eval);
     phase2.engine = classification.engine;
-    ECRPQ_ASSIGN_OR_RAISE(
-        result, EvaluatePlanned(db, query, phase2, options.thresholds));
+    result = EvaluatePlanned(db, query, phase2, options.thresholds);
   }
-  result.answers.assign(deliver.delivered.begin(), deliver.delivered.end());
+  ECRPQ_RETURN_NOT_OK(result.status());
+  result->answers.assign(deliver.delivered.begin(), deliver.delivered.end());
   return result;
 }
 

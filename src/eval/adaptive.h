@@ -5,17 +5,22 @@
 // polynomial worst-case guarantee in the tractable regime. The adaptive
 // engine combines both, guided by the classification:
 //
-//   1. run the lazy generic evaluator with a product-state budget derived
-//      from the database size and the query's cc_vertex;
+//   1. run the lazy generic evaluator in a budgeted obs::Session of its
+//      own, capped at a product-state budget derived from the database size
+//      and the query's cc_vertex (summed over all of phase 1's searches);
 //   2. if it finishes, done — its answer is exact;
-//   3. if it hits the budget, fall back to the engine the planner
+//   3. if it exhausts that budget, fall back to the engine the planner
 //      prescribes for the query's regime (pipeline engines materialize
 //      bottom-up and are immune to unlucky search orders; in the PSPACE
 //      regime there is nothing better, so the budget is lifted instead).
 //
 // `eval` must leave `engine` unset and is checked against the planner's
-// engine for the query (CheckEngineOptions) before phase 1. Its own
-// max_product_states caps both phases; on_answer sees each answer once.
+// engine for the query (CheckEngineOptions) before phase 1. The caller's
+// session (`eval.obs`) sees both phases: phase 1 runs under the caller's
+// limits too, its spans go to the caller's trace buffer and its counters
+// are folded into the caller's session before phase 2. A caller budget
+// that trips in either phase ends the evaluation with ResourceExhausted
+// and no fallback; on_answer sees each answer once.
 #ifndef ECRPQ_EVAL_ADAPTIVE_H_
 #define ECRPQ_EVAL_ADAPTIVE_H_
 

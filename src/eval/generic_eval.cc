@@ -110,7 +110,6 @@ struct Engine {
                               static_cast<int>(plan.paths.size())));
       machines.push_back(std::make_unique<JoinMachine>(std::move(machine)));
       TupleSearchOptions search_options;
-      search_options.max_states = options.max_product_states;
       search_options.disable_memo = options.disable_memo;
       search_options.obs = options.obs;
       ECRPQ_ASSIGN_OR_RAISE(
@@ -124,13 +123,12 @@ struct Engine {
 
   void ResetForBranch(VertexId branch,
                       std::vector<RecordedAnswer>* branch_record) {
-    // A worker runs each chunk's branches in ascending order but takes
-    // chunks last-in first-out and steals, so its branch values can drop.
+    // A worker runs its own chunks in ascending order, but a steal takes a
+    // victim's largest chunk, so its branch values can drop.
     if (branch < last_branch) answers.clear();
     last_branch = branch;
     record = branch_record;
     done = false;
-    result.aborted = false;
   }
 
   bool Stopped() const {
@@ -217,11 +215,7 @@ struct Engine {
       ECRPQ_DCHECK(sources[i] != kUnset);
     }
     const ReachSet& reach = searchers[comp]->Reach(sources);
-    if (reach.aborted) {
-      result.aborted = true;
-      done = true;
-      return;
-    }
+    if (reach.aborted) return;  // The budget tripped: Stopped() from here.
     for (const std::vector<VertexId>& targets : reach.targets) {
       obs::Add(shard, obs::CounterId::kAssignmentsTried);
       std::vector<NodeVarId> newly;
@@ -308,11 +302,7 @@ Result<EvalResult> EvaluateParallel(
     engines.back()->cancel = &cancel;
   }
 
-  struct Branch {
-    std::vector<RecordedAnswer> events;
-    bool aborted = false;
-  };
-  std::vector<Branch> branches(n);
+  std::vector<std::vector<RecordedAnswer>> branches(n);
   // Coordinator handshake: workers mark a branch ready under the mutex and
   // the replay thread waits for branches in value order. branches[b] itself
   // is published by the ready flip (write before, read after).
@@ -343,11 +333,10 @@ Result<EvalResult> EvaluateParallel(
       obs::Add(eng.shard, obs::CounterId::kBranchesExplored);
       obs::ScopedTimer branch_timer(eng.shard,
                                     obs::HistogramId::kPhaseBranchNs);
-      eng.ResetForBranch(static_cast<VertexId>(b), &branches[b].events);
+      eng.ResetForBranch(static_cast<VertexId>(b), &branches[b]);
       eng.assignment = base_assignment;
       eng.assignment[branch_var] = static_cast<VertexId>(b);
       eng.SolveComponent(0, isolated_free);
-      branches[b].aborted = eng.result.aborted;
     }
     {
       MutexLock lock(coord.mutex);
@@ -367,7 +356,10 @@ Result<EvalResult> EvaluateParallel(
       MutexLock lock(coord.mutex);
       while (coord.ready[b] == 0) coord.cv.Wait(coord.mutex);
     }
-    for (const RecordedAnswer& event : branches[b].events) {
+    // A branch the budget cut short holds a partial record, and the run
+    // ends in ResourceExhausted below: stream nothing more.
+    if (options.obs != nullptr && options.obs->Exhausted()) break;
+    for (const RecordedAnswer& event : branches[b]) {
       if (!any_event && options.capture_assignment) {
         result.first_assignment = event.assignment;
       }
@@ -384,10 +376,6 @@ Result<EvalResult> EvaluateParallel(
         stopped = true;
         break;
       }
-    }
-    if (!stopped && branches[b].aborted) {
-      result.aborted = true;
-      stopped = true;
     }
   }
   cancel.Cancel();

@@ -52,10 +52,6 @@ struct EvalOptions {
   // explored concurrently are not un-explored when an early stop cuts the
   // replay short.
   int num_threads = 0;
-  // Abort any single component search beyond this many product states
-  // (0 = unlimited). Not supported by the CRPQ pipeline, which runs no
-  // component search.
-  size_t max_product_states = 0;
   // Stop after this many distinct answers (0 = unlimited; Boolean queries
   // stop at the first satisfying assignment regardless). With a cap k an
   // engine returns min(k, |answers|) true answers, but WHICH ones depends
@@ -87,10 +83,11 @@ struct EvalOptions {
   // delivered so far. Boolean queries stream at most one (empty) tuple.
   std::function<bool(const std::vector<VertexId>&)> on_answer;
   // Observability & resource-governance session (common/obs.h): counters,
-  // trace spans and the evaluation-wide budget. When the budget trips, the
-  // engine returns Status::ResourceExhausted and the partial StatsReport
-  // stays readable via the session. Null = zero overhead; answers are
-  // byte-identical with or without a session attached.
+  // trace spans and the evaluation-wide budget, the only limit an engine
+  // obeys. When the budget trips, the engine returns
+  // Status::ResourceExhausted and the partial StatsReport stays readable
+  // via the session. Null = zero overhead; answers are byte-identical with
+  // or without a session attached.
   obs::Session* obs = nullptr;
 };
 
@@ -99,7 +96,6 @@ struct EvalResult {
   // Distinct answers projected to the free variables, sorted. For Boolean
   // queries: one empty tuple when satisfiable.
   std::vector<std::vector<VertexId>> answers;
-  bool aborted = false;
   // With EvalOptions::capture_assignment: the node assignment of the first
   // satisfying solution (indexed by NodeVarId; ~0u for variables the
   // solution never had to bind). Empty when unsatisfiable or not requested.

@@ -161,9 +161,6 @@ Status CheckEngineOptions(EngineChoice engine, const EvalOptions& options) {
     field = "capture_assignment";
   } else if (options.disable_memo) {
     field = "disable_memo";
-  } else if (engine == EngineChoice::kCrpqPipeline &&
-             options.max_product_states != 0) {
-    field = "max_product_states";
   } else {
     return Status::OK();
   }

@@ -91,8 +91,7 @@ void ClearGlobalCaches();
 
 // The EvalOptions contract: InvalidArgument naming the first field `engine`
 // cannot honour, else OK. Only the generic engine takes pin,
-// capture_assignment and disable_memo; the CRPQ pipeline also rejects
-// max_product_states. Every engine honours the rest.
+// capture_assignment and disable_memo; every engine honours the rest.
 Status CheckEngineOptions(EngineChoice engine, const EvalOptions& options);
 
 // The one evaluation entry point. Runs options.engine when set; otherwise

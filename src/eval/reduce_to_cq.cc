@@ -54,7 +54,6 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
   }
   const int num_workers = pool != nullptr ? threads : 1;
 
-  size_t total_tuples = 0;
   for (size_t c = 0; c < plans.size() && n > 0; ++c) {
     const ComponentPlan& plan = plans[c];
     const int r = static_cast<int>(plan.paths.size());
@@ -77,7 +76,6 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
             JoinMachine::Create(query.alphabet(), plan.machine_components, r));
         machines.push_back(std::make_unique<JoinMachine>(std::move(machine)));
         TupleSearchOptions search_options;
-        search_options.max_states = options.max_product_states;
         search_options.obs = options.obs;
         ECRPQ_ASSIGN_OR_RAISE(
             TupleSearcher searcher,
@@ -152,20 +150,12 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
           shard);
       for (size_t b = 0; b < batch.size(); ++b) {
         ++reduction.source_tuples_enumerated;
-        if (reaches[b] == nullptr) {
-          // Slots are only skipped when the session's cancel token fired,
-          // which here means the budget tripped mid-batch.
+        // A slot is skipped or cut short only when the session's budget
+        // tripped mid-batch.
+        if (reaches[b] == nullptr || reaches[b]->aborted) {
           return options.obs->ExhaustedStatus();
         }
-        const ReachSet& reach = *reaches[b];
-        if (reach.aborted) {
-          if (options.obs != nullptr && options.obs->Exhausted()) {
-            return options.obs->ExhaustedStatus();
-          }
-          return Status::CapacityExceeded(
-              "component search exceeded the product-state budget");
-        }
-        for (const std::vector<VertexId>& targets : reach.targets) {
+        for (const std::vector<VertexId>& targets : reaches[b]->targets) {
           for (int i = 0; i < r; ++i) {
             row[2 * i] = batch[b][i];
             row[2 * i + 1] = targets[i];
@@ -178,12 +168,7 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
           }
           if (!coincides) continue;
           rel->Add(row);
-          ++total_tuples;
           obs::Add(shard, obs::CounterId::kTuplesMaterialized);
-          if (options.max_tuples != 0 && total_tuples > options.max_tuples) {
-            return Status::CapacityExceeded(
-                "materialized relations exceeded the tuple budget");
-          }
         }
       }
       if (options.obs != nullptr && options.obs->CheckBudget()) {
@@ -213,7 +198,6 @@ Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
     return out;
   }
   ReduceOptions reduce_options;
-  reduce_options.max_product_states = options.max_product_states;
   reduce_options.num_threads = options.num_threads;
   reduce_options.obs = options.obs;
   ECRPQ_ASSIGN_OR_RAISE(CqReduction reduction,
@@ -235,7 +219,6 @@ Result<EvalResult> EvaluateCq(const RelationalDb& rdb, const CqQuery& cq,
                             : CqEvaluateBacktracking(rdb, cq, cq_options));
   EvalResult out;
   out.satisfiable = cq_result.satisfiable;
-  out.aborted = cq_result.aborted;
   for (std::vector<VertexId>& answer : cq_result.answers) {
     out.answers.push_back(std::move(answer));
     if (options.on_answer && !options.on_answer(out.answers.back())) break;

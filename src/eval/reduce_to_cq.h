@@ -35,11 +35,6 @@ struct CqReduction {
 };
 
 struct ReduceOptions {
-  // Abort when the materialized relations exceed this many tuples in total
-  // (0 = unlimited).
-  size_t max_tuples = 0;
-  // Per-source search budget (0 = unlimited).
-  size_t max_product_states = 0;
   // Worker threads for the per-source-tuple searches of the leaf-relation
   // materialization: 0 = ECRPQ_THREADS / hardware default, 1 = sequential.
   // The materialized relations (and any budget error) are identical for
@@ -47,9 +42,10 @@ struct ReduceOptions {
   // merged in enumeration order.
   int num_threads = 0;
   // Observability & resource-governance session (common/obs.h). A tripped
-  // budget turns into Status::ResourceExhausted (distinct from the
-  // CapacityExceeded of max_tuples / max_product_states above); the partial
-  // StatsReport stays readable via the session. Null = zero overhead.
+  // budget turns into Status::ResourceExhausted; the partial StatsReport
+  // stays readable via the session. Every materialized row is an accepting
+  // state some search interned, so the budget's product-state cap also
+  // bounds the relation sizes. Null = zero overhead.
   obs::Session* obs = nullptr;
 };
 

@@ -36,7 +36,6 @@ Result<EvalResult> EvaluateUnion(const GraphDb& db, const UecrpqQuery& query,
   for (const EcrpqQuery& disjunct : query.disjuncts) {
     ECRPQ_ASSIGN_OR_RAISE(EvalResult result,
                           EvaluatePlanned(db, disjunct, deliver.Wrap(options)));
-    merged.aborted = merged.aborted || result.aborted;
     merged.satisfiable = merged.satisfiable || result.satisfiable;
     if (deliver.stopped || (boolean && merged.satisfiable)) break;
   }

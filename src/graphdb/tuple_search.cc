@@ -56,7 +56,6 @@ const ReachSet& TupleSearcher::Reach(const std::vector<VertexId>& sources) {
     obs::Add(shard_, obs::CounterId::kMemoMisses);
     unmemoized_scratch_ = RunBfs(sources, nullptr, nullptr);
     total_explored_ += unmemoized_scratch_.explored_states;
-    any_aborted_ = any_aborted_ || unmemoized_scratch_.aborted;
     return unmemoized_scratch_;
   }
   auto it = memo_.find(sources);
@@ -67,7 +66,6 @@ const ReachSet& TupleSearcher::Reach(const std::vector<VertexId>& sources) {
   obs::Add(shard_, obs::CounterId::kMemoMisses);
   auto result = std::make_unique<ReachSet>(RunBfs(sources, nullptr, nullptr));
   total_explored_ += result->explored_states;
-  any_aborted_ = any_aborted_ || result->aborted;
   auto [inserted_it, ok] = memo_.emplace(sources, std::move(result));
   ECRPQ_DCHECK(ok);
   return *inserted_it->second;
@@ -128,20 +126,15 @@ ReachSet TupleSearcher::RunBfs(
   // BFS queue *is* `states` behind a cursor — no separate container, and
   // the pop sequence is identical to the old explicit FIFO queue.
 
-  auto intern = [&](Coded coded, uint32_t from, Label label) -> bool {
+  auto intern = [&](Coded coded, uint32_t from, Label label) {
     auto [it, inserted] =
         id_of.emplace(std::move(coded), static_cast<uint32_t>(states.size()));
-    if (!inserted) return true;
-    if (options_.max_states != 0 && states.size() >= options_.max_states) {
-      result.aborted = true;
-      return false;
-    }
+    if (!inserted) return;
     states.push_back(it->first);
     if (track_parents) parents.emplace_back(from, label);
     obs::Add(shard_, obs::CounterId::kProductStatesExpanded);
     obs::Add(shard_, obs::CounterId::kVisitedBytes,
              SparseStateBytes(it->first.size()));
-    return true;
   };
 
   // Seed state.
@@ -226,40 +219,41 @@ ReachSet TupleSearcher::RunBfs(
 
     // Recursive enumeration over tapes.
     auto recurse = [&](auto&& self, int tape, uint32_t new_mask,
-                       bool any_letter) -> bool {
+                       bool any_letter) -> void {
       if (tape == r) {
-        if (!any_letter) return true;  // All-blank column: not a step.
+        if (!any_letter) return;  // All-blank column: not a step.
         const Label label = machine_->pack().Pack(letters);
         const JoinMachine::State next_m =
             machine_->Next(mstate, label);
-        if (machine_->IsDead(next_m)) return true;
+        if (machine_->IsDead(next_m)) return;
         Coded next;
         next.reserve(r + 1 + machine_size);
         next.assign(scratch.begin(), scratch.begin() + r);
         next.push_back(new_mask);
         for (uint32_t m : next_m) next.push_back(m);
-        return intern(std::move(next), id, label);
+        intern(std::move(next), id, label);
+        return;
       }
       const uint32_t bit = uint32_t{1} << tape;
       if (mask & bit) {
         letters[tape] = kBlank;
         scratch[tape] = current[tape];
-        return self(self, tape + 1, new_mask, any_letter);
+        self(self, tape + 1, new_mask, any_letter);
+        return;
       }
       // Option 1: finish this tape now.
       letters[tape] = kBlank;
       scratch[tape] = current[tape];
-      if (!self(self, tape + 1, new_mask | bit, any_letter)) return false;
+      self(self, tape + 1, new_mask | bit, any_letter);
       // Option 2: advance along an out-edge.
       for (const LabeledEdge& e : db_->OutEdges(current[tape])) {
         letters[tape] = static_cast<TapeLetter>(e.symbol);
         scratch[tape] = e.to;
-        if (!self(self, tape + 1, new_mask, true)) return false;
+        self(self, tape + 1, new_mask, true);
       }
       scratch[tape] = current[tape];
-      return true;
     };
-    if (!recurse(recurse, 0, mask, false)) break;  // Budget exhausted.
+    recurse(recurse, 0, mask, false);
   }
   obs::RecordMax(shard_, obs::CounterId::kFrontierPeak, frontier_peak);
 
@@ -365,8 +359,7 @@ ReachSet TupleSearcher::RunBfsDense(const std::vector<VertexId>& sources,
 
   size_t pops = 0;
   uint64_t frontier_peak = 0;
-  bool exhausted = false;
-  while (!level.empty() && !exhausted) {
+  while (!level.empty() && !result.aborted) {
     obs::Record(shard_, obs::HistogramId::kFrontierOccupancy, level.size());
     for (size_t pos = 0; pos < level.size(); ++pos) {
     const size_t frontier_size = (level.size() - pos) + next_level.size();
@@ -377,7 +370,6 @@ ReachSet TupleSearcher::RunBfsDense(const std::vector<VertexId>& sources,
          ((++pops & (kBudgetCheckStride - 1)) == 0 &&
           options_.obs->CheckBudget()))) {
       result.aborted = true;
-      exhausted = true;
       break;
     }
     const auto [code, mid] = level[pos];
@@ -399,48 +391,41 @@ ReachSet TupleSearcher::RunBfsDense(const std::vector<VertexId>& sources,
     // tapes stay put, at least one tape must read a letter.
     scratch = current;
     auto recurse = [&](auto&& self, int tape, uint32_t new_mask,
-                       bool any_letter) -> bool {
+                       bool any_letter) -> void {
       if (tape == r) {
-        if (!any_letter) return true;  // All-blank column: not a step.
+        if (!any_letter) return;  // All-blank column: not a step.
         const Label label = machine_->pack().Pack(letters);
         const JoinMachine::State next_m = machine_->Next(mstate, label);
-        if (machine_->IsDead(next_m)) return true;
+        if (machine_->IsDead(next_m)) return;
         const uint32_t nmid = machine_id_of(next_m);
         const uint64_t ncode = encode(scratch, new_mask);
         if (visited_of(nmid).TestAndSet(ncode)) {
-          if (options_.max_states != 0 && interned >= options_.max_states) {
-            result.aborted = true;
-            return false;
-          }
           ++interned;
           next_level.emplace_back(ncode, nmid);
           obs::Add(shard_, obs::CounterId::kProductStatesExpanded);
         }
-        return true;
+        return;
       }
       const uint32_t bit = uint32_t{1} << tape;
       if (mask & bit) {
         letters[tape] = kBlank;
         scratch[tape] = current[tape];
-        return self(self, tape + 1, new_mask, any_letter);
+        self(self, tape + 1, new_mask, any_letter);
+        return;
       }
       // Option 1: finish this tape now.
       letters[tape] = kBlank;
       scratch[tape] = current[tape];
-      if (!self(self, tape + 1, new_mask | bit, any_letter)) return false;
+      self(self, tape + 1, new_mask | bit, any_letter);
       // Option 2: advance along an out-edge.
       for (const LabeledEdge& e : db_->OutEdges(current[tape])) {
         letters[tape] = static_cast<TapeLetter>(e.symbol);
         scratch[tape] = e.to;
-        if (!self(self, tape + 1, new_mask, true)) return false;
+        self(self, tape + 1, new_mask, true);
       }
       scratch[tape] = current[tape];
-      return true;
     };
-    if (!recurse(recurse, 0, mask, false)) {  // Budget exhausted.
-      exhausted = true;
-      break;
-    }
+    recurse(recurse, 0, mask, false);
     }
     level.clear();
     std::swap(level, next_level);

@@ -33,9 +33,6 @@
 namespace ecrpq {
 
 struct TupleSearchOptions {
-  // Abort a per-source BFS after exploring this many product states.
-  // 0 = unlimited.
-  size_t max_states = 0;
   // Recompute every Reach() call instead of memoizing per source tuple —
   // ablation hook for experiment X2.
   bool disable_memo = false;
@@ -47,7 +44,8 @@ struct TupleSearchOptions {
   // the searcher counts product states, frontier peaks, memo traffic and
   // visited-set bytes into its own metrics shard and polls the session's
   // budget at a coarse stride inside the BFS loops; a tripped budget marks
-  // the ReachSet aborted so callers unwind. Null = zero overhead.
+  // the ReachSet aborted so callers unwind. Null = zero overhead and no
+  // limit.
   obs::Session* obs = nullptr;
 };
 
@@ -55,6 +53,7 @@ struct TupleSearchOptions {
 struct ReachSet {
   std::unordered_set<std::vector<VertexId>, VectorHash<VertexId>> targets;
   size_t explored_states = 0;
+  // The session's budget tripped mid-search: `targets` is partial.
   bool aborted = false;
 };
 
@@ -100,10 +99,6 @@ class TupleSearcher {
     owner_role_.Assert();
     return total_explored_;
   }
-  bool AnyAborted() const {
-    owner_role_.Assert();
-    return any_aborted_;
-  }
 
  private:
   TupleSearcher(const GraphDb* db, JoinMachine* machine,
@@ -139,7 +134,6 @@ class TupleSearcher {
   // this searcher (ReachMany's worker w owns searchers[w]); no lock.
   ExclusiveRole owner_role_;
   size_t total_explored_ ECRPQ_GUARDED_BY(owner_role_) = 0;
-  bool any_aborted_ ECRPQ_GUARDED_BY(owner_role_) = false;
   std::unordered_map<std::vector<VertexId>, std::unique_ptr<ReachSet>,
                      VectorHash<VertexId>>
       memo_ ECRPQ_GUARDED_BY(owner_role_);

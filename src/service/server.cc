@@ -125,9 +125,19 @@ void SocketServer::Serve() {
       if (errno == EINTR) continue;
       break;  // Stop() closed the listen socket.
     }
-    connections_.emplace_back([this, fd] { HandleConnection(fd); });
+    std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+      if (!c->finished.load(std::memory_order_acquire)) return false;
+      c->thread.join();
+      return true;
+    });
+    auto connection = std::make_unique<Connection>();
+    connection->thread = std::thread([this, fd, c = connection.get()] {
+      HandleConnection(fd);
+      c->finished.store(true, std::memory_order_release);
+    });
+    connections_.push_back(std::move(connection));
   }
-  for (std::thread& t : connections_) t.join();
+  for (const std::unique_ptr<Connection>& c : connections_) c->thread.join();
   connections_.clear();
 }
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -43,7 +44,9 @@ class SocketServer {
 
   // Blocks until Stop() or a client's shutdown request; joins every
   // connection thread before returning, so the QueryService is quiescent
-  // after Serve() returns.
+  // after Serve() returns. Threads of closed connections are joined as new
+  // connections arrive, so their number does not grow with the number of
+  // connections served.
   void Serve();
   void Stop();
 
@@ -55,7 +58,12 @@ class SocketServer {
   std::atomic<int> listen_fd_{-1};
   std::string unix_path_;  // Non-empty => unlink on teardown.
   std::atomic<bool> stopping_{false};
-  std::vector<std::thread> connections_;  // Touched only by Serve().
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};  // Set by the thread as it ends.
+  };
+  // Touched only by Serve().
+  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace ecrpq

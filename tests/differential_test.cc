@@ -8,7 +8,7 @@
 //  - the CQ-reduction pipeline under observation still matches the oracle;
 //  - a tight budget yields either the exact un-budgeted result or a clean
 //    Status::ResourceExhausted with a populated partial StatsReport — never
-//    a third behavior, a crash, or a hang.
+//    a third behavior, a crash, or a hang — on every engine and adaptive.
 //
 //  - the pipeline's size-histogram bucket counts are identical at 1 and 4
 //    worker threads (its work set is pool-size-independent).
@@ -23,6 +23,7 @@
 
 #include "common/obs.h"
 #include "common/rng.h"
+#include "eval/adaptive.h"
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
 #include "eval/planner.h"
@@ -188,43 +189,69 @@ TEST_P(DifferentialSuite, PipelineWithObsAgreesWithOracle) {
   EXPECT_GT(session.Report()[obs::CounterId::kProductStatesExpanded], 0u);
 }
 
-// Shared tight-budget property: the run either agrees exactly with the
-// oracle (budget never tripped) or fails with a clean ResourceExhausted
-// whose session still serves a populated partial StatsReport.
+// Shared tight-budget property: every engine either agrees exactly with
+// the oracle (budget never tripped) or fails with a clean
+// ResourceExhausted whose session still serves a populated partial
+// StatsReport. The engines: generic, cq and cq-np on a random ECRPQ, crpq
+// on a random CRPQ, all through EvaluatePlanned, and EvaluateAdaptive,
+// whose phase-1 budget is far above the caller's cap, so it must never
+// fall back: a trip of the caller's budget ends the evaluation.
 void CheckTightBudget(uint64_t seed, int threads) {
   Rng rng(seed);
   Result<EcrpqQuery> q = RandomEcrpq(&rng);
   ASSERT_TRUE(q.ok()) << q.status();
   const GraphDb db = RandomSmallDb(&rng);
+  Result<EcrpqQuery> crpq = RandomCrpqQuery(&rng, kAb, 3, 3);
+  ASSERT_TRUE(crpq.ok()) << crpq.status();
 
-  Result<EvalResult> naive = EvaluateNaive(db, *q);
-  ASSERT_TRUE(naive.ok()) << naive.status();
-
-  obs::Session session;
   obs::EvalBudget budget;
   budget.max_product_states = 1 + seed % 16;  // Tight: trips often.
-  session.SetBudget(budget);
 
-  EvalOptions options;
-  options.num_threads = threads;
-  options.obs = &session;
-  Result<EvalResult> result = EvaluateGeneric(db, *q, options);
-  if (result.ok()) {
-    ASSERT_EQ(naive->answers, result->answers)
-        << "seed " << seed << " threads " << threads
-        << "\nquery: " << q->ToString();
-    return;
-  }
-  ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-      << "seed " << seed << " threads " << threads << ": "
-      << result.status();
-  EXPECT_TRUE(session.Exhausted());
-  ASSERT_NE(session.exhausted_reason(), nullptr);
-  EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
-  // Partial report: tripping the state cap requires having counted states.
-  EXPECT_GE(session.Report()[obs::CounterId::kProductStatesExpanded],
-            budget.max_product_states)
-      << "seed " << seed << " threads " << threads;
+  auto check = [&](const std::string& engine, const EcrpqQuery& query,
+                   auto&& run) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                 std::to_string(threads) + " engine " + engine +
+                 "\nquery: " + query.ToString());
+    Result<EvalResult> naive = EvaluateNaive(db, query);
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    obs::Session session;
+    session.SetBudget(budget);
+    EvalOptions options;
+    options.num_threads = threads;
+    options.obs = &session;
+    Result<EvalResult> result = run(options);
+    if (result.ok()) {
+      ASSERT_EQ(naive->answers, result->answers);
+      return;
+    }
+    ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status();
+    EXPECT_TRUE(session.Exhausted());
+    ASSERT_NE(session.exhausted_reason(), nullptr);
+    EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
+    // Partial report: tripping the state cap requires having counted
+    // states.
+    EXPECT_GE(session.Report()[obs::CounterId::kProductStatesExpanded],
+              budget.max_product_states);
+  };
+  auto planned = [&](EngineChoice engine, const EcrpqQuery& query) {
+    check(EngineChoiceName(engine), query, [&](EvalOptions options) {
+      options.engine = engine;
+      return EvaluatePlanned(db, query, options);
+    });
+  };
+  planned(EngineChoice::kGeneric, *q);
+  planned(EngineChoice::kCqReduction, *q);
+  planned(EngineChoice::kCqReductionNp, *q);
+  planned(EngineChoice::kCrpqPipeline, *crpq);
+  check("adaptive", *q, [&](const EvalOptions& options) {
+    AdaptiveOptions adaptive;
+    adaptive.eval = options;
+    AdaptiveReport report;
+    Result<EvalResult> result = EvaluateAdaptive(db, *q, adaptive, &report);
+    EXPECT_FALSE(report.fell_back);
+    return result;
+  });
 }
 
 // Size-histogram determinism across pool sizes: the Lemma 4.3 pipeline

@@ -309,15 +309,6 @@ TEST_P(EngineOptionMatrixTest, EveryEngineHonoursOrRejectsEveryOption) {
       expect_rejected(capture, "capture_assignment");
       expect_rejected(no_memo, "disable_memo");
     }
-    EvalOptions state_cap;
-    state_cap.max_product_states = 1u << 20;
-    if (Effective(e) == EngineChoice::kCrpqPipeline) {
-      expect_rejected(state_cap, "max_product_states");
-    } else {
-      Result<EvalResult> r = Run(e, state_cap);
-      ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(r->answers, oracle_.answers);
-    }
   }
 }
 

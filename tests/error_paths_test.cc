@@ -2,6 +2,8 @@
 // with a descriptive Status (never crash, never silently succeed).
 #include <gtest/gtest.h>
 
+#include "common/obs.h"
+
 #include "eval/adaptive.h"
 #include "eval/explain.h"
 #include "eval/generic_eval.h"
@@ -66,19 +68,25 @@ TEST(ErrorPathsTest, PinValidation) {
 }
 
 TEST(ErrorPathsTest, ReductionBudgets) {
+  // The session's product-state cap bounds both the searches and the
+  // relations they materialize: the reduction trips with
+  // ResourceExhausted, at every pool size.
   const GraphDb db = CycleGraph(6, "ab");
   const EcrpqQuery q =
       Parse("q() := x -[p1]-> y, x -[p2]-> y, eqlen(p1, p2)");
-  ReduceOptions options;
-  options.max_tuples = 1;
-  Result<CqReduction> r = ReduceToCq(db, q, options);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
-  options.max_tuples = 0;
-  options.max_product_states = 1;
-  r = ReduceToCq(db, q, options);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCapacityExceeded);
+  for (int num_threads : {1, 4}) {
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 1;
+    session.SetBudget(budget);
+    ReduceOptions options;
+    options.num_threads = num_threads;
+    options.obs = &session;
+    Result<CqReduction> r = ReduceToCq(db, q, options);
+    ASSERT_FALSE(r.ok()) << "pool size " << num_threads;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
+  }
 }
 
 TEST(ErrorPathsTest, InvalidQueriesRejectedBeforeEvaluation) {

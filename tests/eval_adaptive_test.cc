@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/obs.h"
 #include "eval/adaptive.h"
 #include "eval/naive_eval.h"
 #include "graphdb/dot.h"
@@ -61,7 +64,6 @@ TEST(AdaptiveTest, PspaceRegimeFallsBackToUnboundedGeneric) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(report.fell_back);
   EXPECT_EQ(report.fallback_engine, EngineChoice::kGeneric);
-  EXPECT_FALSE(r->aborted);
   EXPECT_TRUE(r->satisfiable);
 }
 
@@ -99,6 +101,75 @@ TEST(AdaptiveTest, StreamsEachAnswerOnceAcrossFallback) {
     std::sort(streamed.begin(), streamed.end());
     EXPECT_EQ(streamed, r->answers);
   }
+}
+
+// The 64-vertex a-cycle over {a, b}. On it, each of the 64 phase-1
+// searches of q(x, y) := x -[/a(a|b)*/]-> y interns about 66 product
+// states, under the 64 * 64 = 4096 phase-1 budget, but all of them
+// together intern 4224.
+GraphDb ACycle64() {
+  GraphDb db(kAb);
+  db.AddVertices(64);
+  for (VertexId v = 0; v < 64; ++v) db.AddEdge(v, "a", (v + 1) % 64);
+  return db;
+}
+
+TEST(AdaptiveTest, PhaseOneBudgetIsSessionWide) {
+  const GraphDb db = ACycle64();
+  const EcrpqQuery q = Parse("q(x, y) := x -[/a(a|b)*/]-> y");
+  AdaptiveReport report;
+  Result<EvalResult> r = EvaluateAdaptive(db, q, {}, &report);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(report.phase1_budget, 4096u);
+  EXPECT_TRUE(report.fell_back);
+  EXPECT_EQ(report.fallback_engine, EngineChoice::kCrpqPipeline);
+  Result<EvalResult> generic = EvaluateGeneric(db, q);
+  ASSERT_TRUE(generic.ok()) << generic.status();
+  EXPECT_EQ(r->answers, generic->answers);
+  EXPECT_EQ(r->answers.size(), 64u * 64u);
+}
+
+TEST(AdaptiveTest, CallerBudgetBelowPhaseOneTripsWithoutFallback) {
+  const GraphDb db = ACycle64();
+  const EcrpqQuery q = Parse("q(x, y) := x -[/a(a|b)*/]-> y");
+  obs::Session session;
+  obs::EvalBudget budget;
+  budget.max_product_states = 100;
+  session.SetBudget(budget);
+  AdaptiveOptions options;
+  options.eval.obs = &session;
+  AdaptiveReport report;
+  Result<EvalResult> r = EvaluateAdaptive(db, q, options, &report);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().ToString().find("max_product_states"),
+            std::string::npos)
+      << r.status();
+  EXPECT_GT(report.phase1_budget, budget.max_product_states);
+  EXPECT_FALSE(report.fell_back);
+  EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
+}
+
+TEST(AdaptiveTest, CallerSessionSeesPhaseOne) {
+  const GraphDb db = ACycle64();
+  const EcrpqQuery q = Parse("q(x, y) := x -[/a(a|b)*/]-> y");
+  obs::Session session;
+  session.EnableTrace();
+  AdaptiveOptions options;
+  options.eval.obs = &session;
+  AdaptiveReport report;
+  Result<EvalResult> r = EvaluateAdaptive(db, q, options, &report);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_TRUE(report.fell_back);
+  // Phase 1 tripped its budget, so it interned at least that many states,
+  // and they are counted in the caller's report.
+  EXPECT_GE(session.Report()[obs::CounterId::kProductStatesExpanded],
+            report.phase1_budget);
+  bool phase1_span = false;
+  for (const obs::Trace::Event& event : session.trace()->Events()) {
+    if (std::string_view(event.name) == "EvaluateGeneric") phase1_span = true;
+  }
+  EXPECT_TRUE(phase1_span);
 }
 
 class AdaptiveDifferentialTest : public ::testing::TestWithParam<uint64_t> {};

@@ -1,6 +1,8 @@
 // Hand-verifiable end-to-end evaluations across all engines.
 #include <gtest/gtest.h>
 
+#include "common/obs.h"
+
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
 #include "eval/planner.h"
@@ -200,11 +202,18 @@ TEST(GenericEvalTest, BudgetAbortSurfaces) {
   const EcrpqQuery q =
       Parse("q() := x0 -[p0]-> y0, x1 -[p1]-> y1, x2 -[p2]-> y2,"
             " eqlen(p0, p1, p2), lang(/ababab(a|b)*/, p0)");
+  obs::Session session;
+  obs::EvalBudget budget;
+  budget.max_product_states = 5;
+  session.SetBudget(budget);
   EvalOptions options;
-  options.max_product_states = 5;
+  options.obs = &session;
   Result<EvalResult> r = EvaluateGeneric(db, q, options);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->aborted);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(r.status().ToString().find("max_product_states"),
+            std::string::npos)
+      << r.status();
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ void ExpectThreadInvariant(const GraphDb& db, const EcrpqQuery& q,
   options.num_threads = 4;
   const EvalResult par = Eval(db, q, options);
   EXPECT_EQ(seq.satisfiable, par.satisfiable);
-  EXPECT_EQ(seq.aborted, par.aborted);
   EXPECT_EQ(seq.answers, par.answers);
   EXPECT_EQ(seq.first_assignment, par.first_assignment);
 }
@@ -116,22 +115,23 @@ TEST(ParallelDeterminismTest, StreamingCallbackSequence) {
 }
 
 // With two workers, 64 branches are dealt round-robin in chunks of four:
-// worker 0 gets [0, 4), [8, 12), ... and runs them last chunk first;
-// worker 1 gets [4, 8), [12, 16), ..., here made slow (each of its branch
-// vertices reaches every vertex), so worker 0 runs y = 8 and then y = 0
-// itself instead of losing y = 0 to a steal. Both reach x = 1, and the
-// stream must still be the sequential one, which meets x = 1 at y = 0.
+// worker 0 gets [0, 4), [8, 12), ..., [56, 60) and runs them in ascending
+// order; worker 1 gets [4, 8), [12, 16), ..., here made slow (each of its
+// branch vertices reaches x = 2..63). Once done, worker 0 steals worker
+// 1's largest chunks first: [60, 64), then [52, 56). It meets x = 1 at
+// y = 60 and then again at y = 52; the stream must still be the
+// sequential one, which meets x = 1 at y = 52, before x = 0 at y = 56.
 TEST(ParallelDeterminismTest, BranchesRunOutOfOrderStillStreamInOrder) {
   GraphDb db(kAb);
   db.AddVertices(64);
-  db.AddEdge(0, "a", 1);
-  db.AddEdge(8, "a", 0);
-  db.AddEdge(8, "a", 1);
   for (VertexId y = 4; y < 64; y += 8) {
     for (VertexId v = y; v < y + 4; ++v) {
-      for (VertexId x = 0; x < 64; ++x) db.AddEdge(v, "a", x);
+      for (VertexId x = 2; x < 64; ++x) db.AddEdge(v, "a", x);
     }
   }
+  db.AddEdge(52, "a", 1);
+  db.AddEdge(56, "a", 0);
+  db.AddEdge(60, "a", 1);
   const EcrpqQuery q = Parse("q(x) := y -[/a/]-> x");
   auto stream = [&](int num_threads) {
     std::vector<std::vector<VertexId>> streamed;
@@ -145,10 +145,37 @@ TEST(ParallelDeterminismTest, BranchesRunOutOfOrderStillStreamInOrder) {
     return streamed;
   };
   const std::vector<std::vector<VertexId>> sequential = stream(1);
-  ASSERT_EQ(sequential.front(), std::vector<VertexId>{1});
+  ASSERT_EQ(sequential.size(), 64u);
+  ASSERT_EQ(sequential[62], std::vector<VertexId>{1});
+  ASSERT_EQ(sequential[63], std::vector<VertexId>{0});
   for (int run = 0; run < 20; ++run) {
     ASSERT_EQ(stream(2), sequential) << "run " << run;
   }
+}
+
+// e11's BM_DataTractableQuery/16 instance: a Boolean query satisfied in
+// branch 0. Each worker runs its own branches in ascending order, so
+// branch 0, which the ordered replay waits for, runs first and its answer
+// cancels the other branches after a hundred or so backtracking nodes
+// (exploring all 64 branches takes about a million). The replay thread is
+// a fifth thread beside four workers, and on a host with four cores it can
+// wait a time slice to be woken, while the other workers run on; so the
+// bound holds for the least of ten runs, not for every run.
+TEST(ParallelDeterminismTest, EarlySatisfiedBooleanQueryCancelsTheRest) {
+  Rng rng(61);
+  const GraphDb db = LayeredDag(&rng, 4, 16, 2, 2);
+  const EcrpqQuery q = ChainEqLenQuery(kAb, 3).ValueOrDie();
+  uint64_t least = ~uint64_t{0};
+  for (int run = 0; run < 10; ++run) {
+    obs::Session session;
+    EvalOptions options;
+    options.num_threads = 4;
+    options.obs = &session;
+    EXPECT_TRUE(Eval(db, q, options).satisfiable);
+    least = std::min(least,
+                     session.Report()[obs::CounterId::kAssignmentsTried]);
+  }
+  EXPECT_LE(least, 1000u);
 }
 
 TEST(ParallelDeterminismTest, StreamingEarlyStopCount) {
@@ -233,16 +260,22 @@ TEST(ParallelDeterminismTest, SingleThreadRoutesNeverSteal) {
 }
 
 TEST(ParallelDeterminismTest, CqReductionBudgetError) {
-  // Budget violations must also be thread-invariant: both runs abort.
+  // Budget violations must also be thread-invariant: both runs trip.
   Rng rng(3);
   const GraphDb db = RandomGraph(&rng, 10, 2.0, 2);
   const EcrpqQuery q = EqLenStarQuery(kAb, 2).ValueOrDie();
   for (int num_threads : {1, 4}) {
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 5;
+    session.SetBudget(budget);
     ReduceOptions options;
     options.num_threads = num_threads;
-    options.max_tuples = 5;
+    options.obs = &session;
     Result<CqReduction> r = ReduceToCq(db, q, options);
-    EXPECT_FALSE(r.ok()) << "pool size " << num_threads;
+    ASSERT_FALSE(r.ok()) << "pool size " << num_threads;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << "pool size " << num_threads;
   }
 }
 
@@ -295,25 +328,35 @@ TEST(ParallelDeterminismTest, DenseAndSparseVisitedAgree) {
 }
 
 TEST(ParallelDeterminismTest, DenseAndSparseAgreeOnBudgetAbort) {
-  const GraphDb db = CycleGraph(6, "ab");
+  // Both visited-set paths pop states in the same order and poll the
+  // session's budget at the same pops, so a budget trip cuts them at the
+  // same point.
+  Rng rng(7);
+  const GraphDb db = RandomGraph(&rng, 64, 3.0, 2);
   const EcrpqQuery q = EqLenStarQuery(kAb, 2).ValueOrDie();
   const std::vector<ComponentPlan> plans = PlanComponents(q);
   ASSERT_FALSE(plans.empty());
   const int r = static_cast<int>(plans[0].paths.size());
+  std::vector<size_t> explored;
   for (bool disable_dense : {false, true}) {
     Result<JoinMachine> machine =
         JoinMachine::Create(q.alphabet(), plans[0].machine_components, r);
     ASSERT_TRUE(machine.ok()) << machine.status();
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 3;
+    session.SetBudget(budget);
     TupleSearchOptions options;
     options.disable_dense_visited = disable_dense;
-    options.max_states = 3;
+    options.obs = &session;
     Result<TupleSearcher> searcher =
         TupleSearcher::Create(&db, &*machine, options);
     ASSERT_TRUE(searcher.ok()) << searcher.status();
     const ReachSet& reach = searcher->Reach(std::vector<VertexId>(r, 0));
     EXPECT_TRUE(reach.aborted);
-    EXPECT_EQ(reach.explored_states, 3u);
+    explored.push_back(reach.explored_states);
   }
+  EXPECT_EQ(explored[0], explored[1]);
 }
 
 TEST(ParallelDeterminismTest, ReachManyMatchesSequentialReach) {

@@ -1,14 +1,16 @@
 // SocketServer over a Unix socket: one client round-trip that ends in a
-// `shutdown` op, and Stop() from another thread. Both run Serve() on its
-// own thread, which is the shape that raced on the listen fd before it
-// became atomic (tools/ci.sh runs this suite under TSan).
+// `shutdown` op, Stop() from another thread, and connection churn. All run
+// Serve() on its own thread, which is the shape that raced on the listen
+// fd before it became atomic (tools/ci.sh runs this suite under TSan).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -89,6 +91,60 @@ TEST(SocketServerTest, StopFromAnotherThreadEndsServe) {
   serving.join();
   // Stop() is idempotent; the destructor calls it again.
   server.Stop();
+}
+
+// A numeric field of /proc/self/status ("VmSize" in kB, "Threads"), or
+// -1 when it cannot be read.
+long ProcStatus(const std::string& field) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long value = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, field.c_str(), field.size()) == 0 &&
+        line[field.size()] == ':') {
+      value = std::strtol(line + field.size() + 1, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return value;
+}
+
+TEST(SocketServerTest, ClosedConnectionsDoNotAccumulateThreads) {
+  // Each connection thread keeps its stack mapped until it is joined, so
+  // a server that does not join closed connections grows by a stack (8 MB
+  // of address space) per connection served.
+  QueryService service{ServiceConfig{}};
+  SocketServer server(&service);
+  const std::string path = SocketPath("churn");
+  ASSERT_TRUE(server.ListenUnix(path).ok());
+  std::thread serving([&server] { server.Serve(); });
+
+  const long threads = ProcStatus("Threads");
+  const long before_kb = ProcStatus("VmSize");
+  ASSERT_GT(threads, 0);
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 500; ++i) {
+    const int fd = Connect(path);
+    ASSERT_GE(fd, 0) << "cycle " << i;
+    ASSERT_NE(RoundTrip(fd, "{\"id\":\"p\",\"op\":\"ping\"}")
+                  .find("\"status\":\"ok\""),
+              std::string::npos)
+        << "cycle " << i;
+    ::close(fd);
+    // Wait for the connection thread to exit (an exited thread leaves the
+    // count even before it is joined), so that at most one runs at a time
+    // and the measurement does not depend on how the host schedules them.
+    for (int wait = 0; ProcStatus("Threads") > threads && wait < 5000;
+         ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const long growth_kb = ProcStatus("VmSize") - before_kb;
+  EXPECT_LT(growth_kb, 256 * 1024) << "VmSize grew by " << growth_kb << " kB";
+  server.Stop();
+  serving.join();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/obs.h"
 #include "common/rng.h"
 #include "graphdb/generators.h"
 #include "graphdb/tuple_search.h"
@@ -72,20 +73,28 @@ TEST(TupleSearchTest, MemoizationReusesSearches) {
 }
 
 TEST(TupleSearchTest, BudgetAborts) {
+  // The session's budget is the searcher's only limit: the BFS polls it
+  // every 1024 pops, so a 3-state cap trips at the first poll and the
+  // reach set comes back marked aborted.
   Rng rng(3);
-  GraphDb db = RandomGraph(&rng, 20, 3.0, 2);
+  GraphDb db = RandomGraph(&rng, 64, 3.0, 2);
   SyncRelation eqlen = Make(EqualLengthRelation(db.alphabet(), 2));
   Result<JoinMachine> machine =
       JoinMachine::Create(db.alphabet(), {{&eqlen, {0, 1}}}, 2);
   ASSERT_TRUE(machine.ok());
+  obs::Session session;
+  obs::EvalBudget budget;
+  budget.max_product_states = 3;
+  session.SetBudget(budget);
   TupleSearchOptions options;
-  options.max_states = 3;
+  options.obs = &session;
   Result<TupleSearcher> searcher =
       TupleSearcher::Create(&db, &*machine, options);
   ASSERT_TRUE(searcher.ok());
   const ReachSet& reach = searcher->Reach({0, 1});
   EXPECT_TRUE(reach.aborted);
-  EXPECT_TRUE(searcher->AnyAborted());
+  EXPECT_TRUE(session.Exhausted());
+  EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
 }
 
 TEST(TupleSearchTest, WitnessPathsAreConsistent) {

@@ -45,7 +45,9 @@ cmake --build build-tsan -j "$JOBS"
 # the CSR graph layout, the engines that fan out over the pool and the
 # observability layer (metrics shards, histogram recording, budget trips,
 # differential suite, the span buffer under concurrent writers and
-# readers, the telemetry sinks) and the service layer (admission controller
+# readers, the telemetry sinks), adaptive evaluation (phase 1 runs a
+# parallel search under a private session that records into the caller's
+# span buffer) and the service layer (admission controller
 # under saturation, concurrent sessions vs the sequential oracle, protocol
 # fuzz, request telemetry, the socket server's Serve/Stop).
 # Run with a multi-worker default so the pool actually spawns threads even
@@ -53,7 +55,7 @@ cmake --build build-tsan -j "$JOBS"
 # (BudgetInvariantsDeathTest etc.) stay out of the regex: fork-style death
 # tests and TSan don't mix.
 ECRPQ_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission|TraceTest|TelemetryRegistryTest|EventLogTest|ServiceTelemetry|SocketServer'
+  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|Adaptive|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission|TraceTest|TelemetryRegistryTest|EventLogTest|ServiceTelemetry|SocketServer'
 
 echo "== [6/13] observability smoke (differential suite + CLI stats/trace/profile/budget) =="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
@@ -123,16 +125,22 @@ done
 # A starved budget: eval must exit 3 (ResourceExhausted) and still print
 # the partial stats report. --engine=cq checks the budget after every
 # materialization batch, so a 1-state budget trips deterministically.
-BUDGET_RC=0
-build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$OBS_QUERY" \
-  --engine=cq --budget-states=1 --budget-mem=1 \
-  > "$OBS_TMP/budget.out" 2>&1 || BUDGET_RC=$?
-if [ "$BUDGET_RC" -ne 3 ]; then
-  echo "obs smoke: expected exit 3 on exhausted budget, got $BUDGET_RC" >&2
-  cat "$OBS_TMP/budget.out" >&2
-  exit 1
-fi
-grep -q 'partial stats:' "$OBS_TMP/budget.out"
+# adaptive arms its phase-1 session with the caller's cap, far below its
+# own budget, so the caller's budget trips in phase 1 and ends the
+# evaluation (AdaptiveTest checks that it does not fall back).
+for engine in cq adaptive; do
+  BUDGET_RC=0
+  build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$OBS_QUERY" \
+    --engine="$engine" --budget-states=1 --budget-mem=1 \
+    > "$OBS_TMP/budget-$engine.out" 2>&1 || BUDGET_RC=$?
+  if [ "$BUDGET_RC" -ne 3 ]; then
+    echo "obs smoke: expected exit 3 on exhausted budget with" \
+      "--engine=$engine, got $BUDGET_RC" >&2
+    cat "$OBS_TMP/budget-$engine.out" >&2
+    exit 1
+  fi
+  grep -q 'partial stats:' "$OBS_TMP/budget-$engine.out"
+done
 # --no-cache escape hatch: bypassing the cross-query caches must not change
 # a byte of output. (Each CLI run is its own process, so this checks the
 # flag plumbing and cold-path equality; warm-hit equality is covered by
