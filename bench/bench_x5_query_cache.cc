@@ -1,6 +1,6 @@
 // X5 (supplementary) — the cross-query caching layer: plan cache
 // (eval/planner.h), automaton interner (automata/interner.h) and
-// epoch-keyed reach-set memo (graphdb/reach_memo.h).
+// epoch-keyed reach memo (graphdb/reach_memo.h).
 //
 // The repeated-query workload measures four regimes on one chain CRPQ:
 //   cold      every iteration starts from empty caches (ClearGlobalCaches),

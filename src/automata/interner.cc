@@ -79,7 +79,7 @@ InternedNfa AutomatonInterner::Intern(const Nfa& nfa,
   const size_t cost = key.size() + NfaCostBytes(nfa);
   // GetOrInsert holds the shard lock across the factory, so two threads
   // interning equal automata concurrently observe ONE unique_id — the
-  // stability the reach-set memo keys depend on.
+  // stability the reach memo keys depend on.
   return nfas_.GetOrInsert(
       key,
       [&] {

@@ -1,5 +1,5 @@
 // ShardedLruCache: the bounded, thread-safe LRU map behind every
-// process-wide cache (plan cache, automaton interner, reach-set memo).
+// process-wide cache (plan cache, automaton interner, reach memo).
 //
 // Design:
 //  - N shards, each an independent (annotated Mutex, intrusive LRU list,

@@ -291,20 +291,41 @@ class ScopedTimer {
   ScopedTimer(MetricsShard* shard, HistogramId id) : shard_(shard), id_(id) {
     if (shard_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
-  ~ScopedTimer() {
-    if (shard_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    shard_->Record(
-        id_, static_cast<uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                     .count()));
-  }
+  ~ScopedTimer() { RecordElapsed(shard_, id_, start_); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+  // Records now - `start` into histogram `id`; no-op on a null shard.
+  static void RecordElapsed(MetricsShard* shard, HistogramId id,
+                            std::chrono::steady_clock::time_point start) {
+    if (shard == nullptr) return;
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    shard->Record(
+        id, static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                    .count()));
+  }
 
  private:
   MetricsShard* shard_;
   HistogramId id_;
+  std::chrono::steady_clock::time_point start_{};
+};
+
+// An engine's answer clock: started at construction, each Record() adds
+// one kAnswerLatencyNs sample (start -> now). Engines call Record() once
+// per distinct answer they emit. Null shard = no-op.
+class AnswerLatency {
+ public:
+  explicit AnswerLatency(MetricsShard* shard) : shard_(shard) {
+    if (shard_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  void Record() const {
+    ScopedTimer::RecordElapsed(shard_, HistogramId::kAnswerLatencyNs, start_);
+  }
+
+ private:
+  MetricsShard* shard_;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -1,7 +1,6 @@
 #include "cq/eval_backtrack.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -85,8 +84,8 @@ Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
                                  ? options.obs->metrics().AcquireShard()
                                  : nullptr;
   size_t budget_tick = 0;
-  std::chrono::steady_clock::time_point start_time{};
-  if (shard != nullptr) start_time = std::chrono::steady_clock::now();
+  const obs::AnswerLatency latency(
+      options.record_answer_latency ? shard : nullptr);
 
   // Emits the current full assignment's projection (expanding uncovered free
   // variables over the domain).
@@ -96,15 +95,7 @@ Result<CqEvalResult> CqEvaluateBacktracking(const RelationalDb& db,
       std::vector<uint32_t> answer;
       answer.reserve(query.free_vars.size());
       for (CqVarId v : query.free_vars) answer.push_back(assignment[v]);
-      const bool inserted = answers.insert(std::move(answer)).second;
-      if (inserted && shard != nullptr) {
-        const auto elapsed = std::chrono::steady_clock::now() - start_time;
-        shard->Record(
-            obs::HistogramId::kAnswerLatencyNs,
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                    .count()));
-      }
+      if (answers.insert(std::move(answer)).second) latency.Record();
       result.satisfiable = true;
       if (!want_all ||
           (options.max_answers != 0 && answers.size() >= options.max_answers)) {

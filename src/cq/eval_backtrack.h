@@ -22,6 +22,9 @@ struct CqEvalOptions {
   // budget turns the evaluation into Status::ResourceExhausted. Null =
   // zero overhead.
   obs::Session* obs = nullptr;
+  // One kAnswerLatencyNs sample per distinct answer. CqEvaluateTreeDec
+  // clears it for its bag materializations, whose tuples are not answers.
+  bool record_answer_latency = true;
 };
 
 struct CqEvalResult {

@@ -57,10 +57,14 @@ Result<CqEvalResult> CqEvaluateTreeDec(const RelationalDb& db,
                                  ? options.obs->metrics().AcquireShard()
                                  : nullptr;
   obs::Span eval_span(trace, "CqEvaluateTreeDec");
+  // Answers are timed from here; bag tuples are not answers.
+  const obs::AnswerLatency latency(
+      options.record_answer_latency ? shard : nullptr);
   CqEvalResult result;
   if (query.num_vars == 0) {
     result.satisfiable = true;
     result.answers.push_back({});
+    latency.Record();
     return result;
   }
 
@@ -145,6 +149,7 @@ Result<CqEvalResult> CqEvaluateTreeDec(const RelationalDb& db,
       for (size_t a : atoms_of_bag[b]) sub.atoms.push_back(query.atoms[a]);
       CqEvalOptions sub_options;
       sub_options.obs = options.obs;
+      sub_options.record_answer_latency = false;
       ECRPQ_ASSIGN_OR_RAISE(CqEvalResult sub_result,
                             CqEvaluateBacktracking(db, sub, sub_options));
       bags[b].tuples = std::move(sub_result.answers);
@@ -238,7 +243,7 @@ Result<CqEvalResult> CqEvaluateTreeDec(const RelationalDb& db,
         ECRPQ_DCHECK(assignment[v] != kUnset);
         answer.push_back(assignment[v]);
       }
-      answers.insert(std::move(answer));
+      if (answers.insert(std::move(answer)).second) latency.Record();
       if (options.max_answers != 0 && answers.size() >= options.max_answers) {
         done = true;
       }

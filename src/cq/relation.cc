@@ -6,6 +6,14 @@ namespace ecrpq {
 
 const std::vector<uint32_t> Relation::kNoRows;
 
+Relation::Relation(std::string name, int arity, SharedRows rows)
+    : Relation(std::move(name), arity) {
+  ECRPQ_CHECK(rows != nullptr);
+  shared_ = std::move(rows);
+  finalized_ = true;
+  ECRPQ_DCHECK_INVARIANT(*this);
+}
+
 void Relation::Add(std::span<const uint32_t> tuple) {
   ECRPQ_CHECK(!finalized_);
   ECRPQ_CHECK_EQ(static_cast<int>(tuple.size()), arity_);
@@ -42,13 +50,14 @@ void Relation::Finalize() {
 
 void Relation::CheckInvariants() const {
   ECRPQ_CHECK_GT(arity_, 0) << "Relation " << name_ << ": non-positive arity";
-  ECRPQ_CHECK_EQ(data_.size() % arity_, 0u)
+  const std::vector<uint32_t>& data = rows();
+  ECRPQ_CHECK_EQ(data.size() % arity_, 0u)
       << "Relation " << name_ << ": data is not a whole number of rows";
   if (!finalized_) return;
   const size_t n = NumTuples();
   for (size_t row = 1; row < n; ++row) {
-    const auto prev = data_.begin() + (row - 1) * arity_;
-    const auto cur = data_.begin() + row * arity_;
+    const auto prev = data.begin() + (row - 1) * arity_;
+    const auto cur = data.begin() + row * arity_;
     ECRPQ_CHECK(std::lexicographical_compare(prev, prev + arity_, cur,
                                              cur + arity_))
         << "Relation " << name_
@@ -69,12 +78,13 @@ const Relation::Index& Relation::IndexFor(uint32_t mask) const {
   auto it = indexes_.find(mask);
   if (it != indexes_.end()) return it->second;
   Index index;
+  const std::vector<uint32_t>& data = rows();
   const size_t n = NumTuples();
   std::vector<uint32_t> key;
   for (size_t row = 0; row < n; ++row) {
     key.clear();
     for (int i = 0; i < arity_; ++i) {
-      if (mask & (uint32_t{1} << i)) key.push_back(data_[row * arity_ + i]);
+      if (mask & (uint32_t{1} << i)) key.push_back(data[row * arity_ + i]);
     }
     index[key].push_back(static_cast<uint32_t>(row));
   }

@@ -4,10 +4,19 @@ namespace ecrpq {
 
 Result<Relation*> RelationalDb::AddRelation(std::string_view name,
                                             int arity) {
-  auto [it, inserted] =
-      relations_.emplace(std::string(name), Relation(std::string(name), arity));
+  return Insert(Relation(std::string(name), arity));
+}
+
+Status RelationalDb::AdoptRelation(std::string_view name, int arity,
+                                   Relation::SharedRows rows) {
+  return Insert(Relation(std::string(name), arity, std::move(rows))).status();
+}
+
+Result<Relation*> RelationalDb::Insert(Relation relation) {
+  std::string name = relation.name();
+  auto [it, inserted] = relations_.emplace(name, std::move(relation));
   if (!inserted) {
-    return Status::Invalid("duplicate relation name: " + std::string(name));
+    return Status::Invalid("duplicate relation name: " + name);
   }
   return &it->second;
 }

@@ -23,6 +23,12 @@ class RelationalDb {
   // Creates a relation; errors on duplicate names.
   Result<Relation*> AddRelation(std::string_view name, int arity);
 
+  // Creates a finalized relation that shares `rows` — row-major, sorted,
+  // duplicate-free — instead of copying them (Relation's adopting
+  // constructor); errors on duplicate names.
+  Status AdoptRelation(std::string_view name, int arity,
+                       Relation::SharedRows rows);
+
   const Relation* Find(std::string_view name) const;
   Result<const Relation*> Require(std::string_view name) const;
 
@@ -33,6 +39,8 @@ class RelationalDb {
   size_t TotalTuples() const;
 
  private:
+  Result<Relation*> Insert(Relation relation);
+
   uint32_t domain_size_;
   std::map<std::string, Relation, std::less<>> relations_;
 };

@@ -1,6 +1,9 @@
 #include "eval/engines.h"
 
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "automata/interner.h"
@@ -12,6 +15,9 @@
 #include "synchro/tape_pack.h"
 
 namespace ecrpq::internal {
+
+// The memo's rows are adopted as CQ relation rows without a conversion.
+static_assert(std::is_same_v<ReachMemo::Rows, Relation::SharedRows>);
 
 Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
                                 const EvalOptions& options) {
@@ -77,33 +83,30 @@ Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
       }
     }
     const std::string name = "reach" + std::to_string(a);
-    ECRPQ_ASSIGN_OR_RAISE(Relation * rel, rdb.AddRelation(name, 2));
+    ReachMemo::Rows rows;
     {
       // One reach-atom materialization == one kPhaseReduceNs sample.
       // Cached path: intern the language (dedups across atoms AND across
       // queries — repeated regexes share one normalized automaton) and
-      // serve per-source reach sets from the epoch-keyed global memo.
-      // RpqReachFrom's output is independent of transition order, so the
+      // serve the whole relation from the epoch-keyed global memo.
+      // RpqReachAll's output is independent of transition order, so the
       // interned (normalized) automaton yields byte-identical rows.
       obs::ScopedTimer reduce_timer(shard, obs::HistogramId::kPhaseReduceNs);
-      const std::vector<std::pair<VertexId, VertexId>> rows =
-          options.disable_cache
-              ? RpqReachAll(db, lang, options.num_threads, obs)
-              : RpqReachAllCached(
-                    db, AutomatonInterner::Global().Intern(lang, shard),
-                    options.num_threads, obs);
-      for (const auto& [u, v] : rows) {
-        const uint32_t row[2] = {u, v};
-        rel->Add(row);
-        obs::Add(shard, obs::CounterId::kTuplesMaterialized);
-      }
+      rows = options.disable_cache
+                 ? std::make_shared<const std::vector<VertexId>>(
+                       RpqReachAll(db, lang, options.num_threads, obs))
+                 : RpqReachAllCached(
+                       db, AutomatonInterner::Global().Intern(lang, shard),
+                       options.num_threads, obs);
     }
     if (obs != nullptr && obs->CheckBudget()) {
       return obs->ExhaustedStatus();
     }
+    // RpqReachAll's rows are sorted and duplicate-free: the CQ relation
+    // adopts them as they are, shared with the memo.
+    ECRPQ_RETURN_NOT_OK(rdb.AdoptRelation(name, 2, std::move(rows)));
     cq.atoms.push_back(CqAtom{name, {atom.from, atom.to}});
   }
-  rdb.FinalizeAll();
   return EvaluateCq(rdb, cq, query.IsBoolean(), options, /*use_treedec=*/true);
 }
 

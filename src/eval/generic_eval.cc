@@ -1,7 +1,6 @@
 #include "eval/generic_eval.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -50,9 +49,7 @@ struct Engine {
         options(options),
         plans(plans),
         shard(options.obs != nullptr ? options.obs->metrics().AcquireShard()
-                                     : nullptr) {
-    if (shard != nullptr) start_time = std::chrono::steady_clock::now();
-  }
+                                     : nullptr) {}
 
   const GraphDb& db;
   const EcrpqQuery& query;
@@ -83,22 +80,11 @@ struct Engine {
   // Metrics shard of this engine (one engine == one worker thread); null
   // when no obs session is attached.
   obs::MetricsShard* shard;
-  // Engine construction time — the zero point for kAnswerLatencyNs samples.
-  std::chrono::steady_clock::time_point start_time{};
+  // Started at engine construction — the zero point for kAnswerLatencyNs.
+  obs::AnswerLatency answer_latency{shard};
   // Stopped() is called on hot paths and must stay const; the budget tick
   // counter is bookkeeping, not engine state.
   mutable size_t budget_tick = 0;
-
-  // Records engine-start -> now into the answer-latency histogram.
-  void RecordAnswerLatency() {
-    if (shard == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_time;
-    shard->Record(
-        obs::HistogramId::kAnswerLatencyNs,
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-  }
 
   Status InitSearchers() {
     obs::Span span(TraceOf(options), "JoinMachine::Create");
@@ -152,7 +138,7 @@ struct Engine {
       const auto [it, inserted] = answers.insert(std::move(answer));
       if (inserted) {
         obs::Add(shard, obs::CounterId::kAnswersEmitted);
-        RecordAnswerLatency();
+        answer_latency.Record();
         RecordedAnswer rec;
         rec.answer = *it;
         if (options.capture_assignment && record->empty()) {
@@ -167,7 +153,7 @@ struct Engine {
     const auto [it, inserted] = answers.insert(std::move(answer));
     if (inserted) {
       obs::Add(shard, obs::CounterId::kAnswersEmitted);
-      RecordAnswerLatency();
+      answer_latency.Record();
     }
     if (inserted && options.on_answer && !options.on_answer(*it)) {
       done = true;

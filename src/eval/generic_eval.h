@@ -71,7 +71,7 @@ struct EvalOptions {
   // Generic engine only.
   bool disable_memo = false;
   // Bypass the process-wide cross-query caches — plan cache (eval/planner),
-  // automaton interner (automata/interner.h) and reach-set memo
+  // automaton interner (automata/interner.h) and reach memo
   // (graphdb/reach_memo.h) — for this evaluation: nothing is looked up and
   // nothing is published. Answers are byte-identical either way (the cache
   // differential suite checks this); the switch exists as an escape hatch

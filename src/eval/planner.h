@@ -84,7 +84,7 @@ using PlanCache =
 PlanCache& GlobalPlanCache();
 
 // Drops every entry of every process-wide cross-query cache: the plan
-// cache, the automaton interner and the reach-set memo. Test and
+// cache, the automaton interner and the reach memo. Test and
 // cold-cache-benchmark hook; never required for correctness (epoch keys
 // already make stale reach entries unreachable).
 void ClearGlobalCaches();

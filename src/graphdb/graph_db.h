@@ -40,7 +40,7 @@ namespace ecrpq {
 using VertexId = uint32_t;
 
 // Process-unique graph identity plus a monotone mutation epoch — the
-// invalidation token of the cross-query caching layer (reach-set memo).
+// invalidation token of the cross-query caching layer (reach memo).
 // A cache entry is keyed on (id, epoch); any mutation bumps the epoch, so
 // stale entries become unreachable by construction and age out of the LRU
 // instead of needing explicit invalidation.
@@ -109,7 +109,7 @@ class GraphDb {
 
   // Cache identity: process-unique graph id and the monotone epoch bumped
   // by every mutator. (graph_id, graph_epoch) names one immutable snapshot
-  // of this graph's contents — the reach-set memo keys on it.
+  // of this graph's contents — the reach memo keys on it.
   uint64_t graph_id() const { return identity_.id(); }
   uint64_t graph_epoch() const { return identity_.epoch(); }
 

@@ -1,9 +1,5 @@
 #include "graphdb/reach_memo.h"
 
-#include <optional>
-
-#include "common/thread_pool.h"
-#include "common/worklist.h"
 #include "graphdb/rpq_reach.h"
 
 namespace ecrpq {
@@ -13,12 +9,8 @@ ReachMemo& ReachMemo::Global() {
   return *memo;
 }
 
-std::vector<std::pair<VertexId, VertexId>> RpqReachAllCached(
-    const GraphDb& db, const InternedNfa& lang, int num_threads,
-    obs::Session* obs) {
-  const VertexId n = static_cast<VertexId>(db.NumVertices());
-  const int threads = ThreadPool::ResolveNumThreads(num_threads);
-  obs::Span span(obs != nullptr ? obs->trace() : nullptr, "RpqReachAllCached");
+ReachMemo::Rows RpqReachAllCached(const GraphDb& db, const InternedNfa& lang,
+                                  int num_threads, obs::Session* obs) {
   obs::MetricsShard* shard =
       obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
   ReachMemo& memo = ReachMemo::Global();
@@ -26,68 +18,16 @@ std::vector<std::pair<VertexId, VertexId>> RpqReachAllCached(
   // the single-writer contract (no mutation interleaving with reads) is
   // already required by the CSR layer, so the snapshot cannot go stale
   // mid-call.
-  const uint64_t graph_id = db.graph_id();
-  const uint64_t epoch = db.graph_epoch();
-  const uint64_t bfs_bytes =
-      (static_cast<uint64_t>(n) *
-           static_cast<uint64_t>(lang.nfa->NumStates()) +
-       7) /
-      8;
-
-  // Phase 1: serve what the memo has. Hits keep their LRU slots warm and
-  // count kCacheHits; the leftovers are the BFS work list.
-  std::vector<ReachMemo::ReachSet> per_source(n);
-  std::vector<VertexId> missing;
-  for (VertexId u = 0; u < n; ++u) {
-    std::optional<ReachMemo::ReachSet> hit =
-        memo.Lookup(ReachMemoKey{graph_id, epoch, lang.unique_id, u}, shard);
-    if (hit.has_value()) {
-      per_source[u] = *std::move(hit);
-    } else {
-      missing.push_back(u);
-    }
+  const ReachMemoKey key{db.graph_id(), db.graph_epoch(), lang.unique_id};
+  if (std::optional<ReachMemo::Rows> hit = memo.Lookup(key, shard)) {
+    return *std::move(hit);
   }
-
-  // Phase 2: fresh BFS for the misses, on the same runtime as the uncached
-  // path (sequential below the pool threshold, work-stealing scheduler
-  // above it). Each completed set is published to the memo immediately —
-  // a budget trip abandons the remaining sources, never a partial set.
-  auto run_source = [&](VertexId u) {
-    obs::Add(shard, obs::CounterId::kRpqBfsRuns);
-    obs::Add(shard, obs::CounterId::kVisitedBytes, bfs_bytes);
-    obs::ScopedTimer bfs_timer(shard, obs::HistogramId::kPhaseBfsNs);
-    auto set = std::make_shared<std::vector<VertexId>>(
-        RpqReachFrom(db, *lang.nfa, u, shard));
-    obs::Record(shard, obs::HistogramId::kReachSetSize, set->size());
-    memo.Insert(ReachMemoKey{graph_id, epoch, lang.unique_id, u}, set, shard);
-    per_source[u] = std::move(set);
-  };
-  if (threads <= 1 || missing.size() < 2) {
-    for (VertexId u : missing) {
-      // One poll per source BFS, as in RpqReachAll: the caller's final
-      // CheckBudget turns the early exit into a clean ResourceExhausted.
-      if (obs != nullptr && obs->CheckBudget()) break;
-      run_source(u);
-    }
-  } else {
-    db.Finalize();  // The lazy CSR build is not thread-safe; do it up front.
-    FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
-    scheduler.Execute(missing.size(), [&](size_t i, int /*worker*/) {
-      if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
-      run_source(missing[i]);
-    });
-  }
-
-  // Concatenate in source order — byte-identical to RpqReachAll for every
-  // pool size and cache state. Sources skipped by a budget trip stay null
-  // and are omitted, matching the uncached partial-rows behavior (the
-  // caller never surfaces them as an OK answer).
-  std::vector<std::pair<VertexId, VertexId>> out;
-  for (VertexId u = 0; u < n; ++u) {
-    if (per_source[u] == nullptr) continue;
-    for (VertexId v : *per_source[u]) out.emplace_back(u, v);
-  }
-  return out;
+  ReachMemo::Rows rows = std::make_shared<const std::vector<VertexId>>(
+      RpqReachAll(db, *lang.nfa, num_threads, obs));
+  // The caller's verdict on the final totals: a build that tripped the
+  // budget may have skipped sources, and its query fails anyway.
+  if (obs == nullptr || !obs->CheckBudget()) memo.Insert(key, rows, shard);
+  return rows;
 }
 
 }  // namespace ecrpq

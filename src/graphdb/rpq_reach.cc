@@ -228,10 +228,8 @@ std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
   return out;
 }
 
-std::vector<std::pair<VertexId, VertexId>> RpqReachAll(const GraphDb& db,
-                                                       const Nfa& lang,
-                                                       int num_threads,
-                                                       obs::Session* obs) {
+std::vector<VertexId> RpqReachAll(const GraphDb& db, const Nfa& lang,
+                                  int num_threads, obs::Session* obs) {
   const VertexId n = static_cast<VertexId>(db.NumVertices());
   const int threads = ThreadPool::ResolveNumThreads(num_threads);
   obs::Span span(obs != nullptr ? obs->trace() : nullptr, "RpqReachAll");
@@ -242,45 +240,47 @@ std::vector<std::pair<VertexId, VertexId>> RpqReachAll(const GraphDb& db,
       (static_cast<uint64_t>(n) * static_cast<uint64_t>(lang.NumStates()) +
        7) /
       8;
-  std::vector<std::pair<VertexId, VertexId>> out;
-  if (threads <= 1 || n < 2) {
-    for (VertexId u = 0; u < n; ++u) {
-      // One poll per source BFS: a run is the natural coarse stride here.
-      // The caller's final CheckBudget turns the early exit into a clean
-      // ResourceExhausted — partial rows never surface as an OK answer.
-      if (obs != nullptr && obs->CheckBudget()) break;
-      obs::Add(shard, obs::CounterId::kRpqBfsRuns);
-      obs::Add(shard, obs::CounterId::kVisitedBytes, bfs_bytes);
-      obs::ScopedTimer bfs_timer(shard, obs::HistogramId::kPhaseBfsNs);
-      std::vector<VertexId> reached = RpqReachFrom(db, lang, u, shard);
-      obs::Record(shard, obs::HistogramId::kReachSetSize, reached.size());
-      for (VertexId v : reached) {
-        out.emplace_back(u, v);
-      }
-    }
-    return out;
-  }
-  // Each source's BFS is independent; workers fill slot u and the slots are
-  // concatenated in source order, so the answer is byte-identical to the
-  // sequential loop above for any pool size. The frontier scheduler only
-  // redistributes *which worker* runs which source.
-  db.Finalize();  // The lazy CSR build is not thread-safe; do it up front.
   std::vector<std::vector<VertexId>> per_source(n);
-  FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
-  scheduler.Execute(n, [&](size_t u, int /*worker*/) {
-    // Same per-BFS poll as the sequential loop; once the budget trips,
-    // remaining sources fall through without running their search.
-    if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
+  auto run_source = [&](VertexId u) {
     obs::Add(shard, obs::CounterId::kRpqBfsRuns);
     obs::Add(shard, obs::CounterId::kVisitedBytes, bfs_bytes);
     obs::ScopedTimer bfs_timer(shard, obs::HistogramId::kPhaseBfsNs);
-    per_source[u] = RpqReachFrom(db, lang, static_cast<VertexId>(u), shard);
+    per_source[u] = RpqReachFrom(db, lang, u, shard);
     obs::Record(shard, obs::HistogramId::kReachSetSize, per_source[u].size());
-  });
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : per_source[u]) out.emplace_back(u, v);
+    obs::Add(shard, obs::CounterId::kTuplesMaterialized, per_source[u].size());
+  };
+  if (threads <= 1 || n < 2) {
+    for (VertexId u = 0; u < n; ++u) {
+      // One poll per source BFS: a run is the natural coarse stride here.
+      if (obs != nullptr && obs->CheckBudget()) break;
+      run_source(u);
+    }
+  } else {
+    // Each source's BFS is independent; the frontier scheduler only
+    // redistributes *which worker* fills which slot.
+    db.Finalize();  // The lazy CSR build is not thread-safe; do it up front.
+    FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
+    scheduler.Execute(n, [&](size_t u, int /*worker*/) {
+      // Same per-BFS poll as the sequential loop; once the budget trips,
+      // remaining sources fall through without running their search.
+      if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
+      run_source(static_cast<VertexId>(u));
+    });
   }
-  return out;
+  // Slots concatenated in source order: byte-identical for any pool size.
+  size_t num_rows = 0;
+  for (const std::vector<VertexId>& targets : per_source) {
+    num_rows += targets.size();
+  }
+  std::vector<VertexId> rows;
+  rows.reserve(2 * num_rows);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v : per_source[u]) {
+      rows.push_back(u);
+      rows.push_back(v);
+    }
+  }
+  return rows;
 }
 
 std::optional<std::vector<PathStep>> RpqWitnessPath(const GraphDb& db,

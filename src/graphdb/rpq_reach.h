@@ -36,7 +36,10 @@ std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
                                    VertexId source,
                                    obs::MetricsShard* shard = nullptr);
 
-// The full relation R_L as sorted (u, v) pairs. O(|V|·(|V|·|Q| + |E|·|δ|)).
+// The full relation R_L as row-major (u, v) pairs: rows[2i] = u and
+// rows[2i + 1] = v, sources ascending, each source's targets ascending, no
+// duplicates — the order cq/relation.h adopts without a sort. The capacity
+// is exactly the size. O(|V|·(|V|·|Q| + |E|·|δ|)).
 //
 // The per-source BFS runs are independent and execute on a thread pool of
 // `num_threads` workers (0 = ECRPQ_THREADS / hardware default, 1 = fully
@@ -44,13 +47,15 @@ std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
 // output is identical for every pool size.
 //
 // With a non-null `obs` session the relation build is wrapped in an
-// "RpqReachAll" span and counts its BFS runs and visited-bitset bytes. The
-// relation is returned whole (no Result plumbing), so the session's budget
-// is observed between per-source runs only when it was tripped elsewhere —
-// callers that need enforcement check the session after the call.
-std::vector<std::pair<VertexId, VertexId>> RpqReachAll(
-    const GraphDb& db, const Nfa& lang, int num_threads = 0,
-    obs::Session* obs = nullptr);
+// "RpqReachAll" span; each source BFS counts a run, its visited-bitset
+// bytes, its phase_bfs_ns and reach_set_size samples and its rows
+// (tuples_materialized). The budget is polled with CheckBudget() once per
+// source; after a trip the remaining sources are skipped, so the rows can
+// be partial only when obs->Exhausted() — callers check the session after
+// the call and never serve such rows as an answer.
+std::vector<VertexId> RpqReachAll(const GraphDb& db, const Nfa& lang,
+                                  int num_threads = 0,
+                                  obs::Session* obs = nullptr);
 
 // A shortest witness path from `source` to `target` with label in L(lang).
 std::optional<std::vector<PathStep>> RpqWitnessPath(const GraphDb& db,

@@ -1,7 +1,7 @@
 // QueryService: the long-lived server process around the evaluation
 // library — many concurrent sessions, one shared graph registry, one
 // global admission controller, and the process-wide cross-query caches
-// (plan cache, automaton interner, reach-set memo) doing the amortizing.
+// (plan cache, automaton interner, reach memo) doing the amortizing.
 //
 // Shape:
 //  - the SERVICE owns the graphs (a named registry; "default" is installed

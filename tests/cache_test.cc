@@ -1,6 +1,6 @@
 // The cross-query caching layer: sharded LRU invariants (byte budget,
 // eviction order, oversized rejection), the automaton interner's dedup and
-// DFA memo, the epoch-keyed reach-set memo's staleness guarantee, and the
+// DFA memo, the epoch-keyed reach memo's staleness guarantee, and the
 // plan cache's canonical-key sharing. The concurrent tests run under TSan
 // in CI (tools/ci.sh stage 5).
 #include <gtest/gtest.h>
@@ -14,8 +14,11 @@
 #include "automata/regex.h"
 #include "common/cache.h"
 #include "common/hash.h"
+#include "common/obs.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eval/planner.h"
+#include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/reach_memo.h"
 #include "graphdb/rpq_reach.h"
@@ -260,13 +263,13 @@ TEST(ReachMemoTest, StaleEpochEntryIsNeverReturnedAfterMutation) {
   const InternedNfa interned = interner.Intern(lang);
 
   ReachMemo::Global().Clear();
-  const auto before = RpqReachAllCached(db, interned);
+  const std::vector<VertexId> before = *RpqReachAllCached(db, interned);
   EXPECT_EQ(before, RpqReachAll(db, lang));
 
-  // Extend reachability: 2 -a-> 3. A stale pre-mutation reach set would
+  // Extend reachability: 2 -a-> 3. A stale pre-mutation relation would
   // miss (0,3), (1,3), (2,3).
   db.AddEdge(2, static_cast<Symbol>(0), 3);
-  const auto after = RpqReachAllCached(db, interned);
+  const std::vector<VertexId> after = *RpqReachAllCached(db, interned);
   EXPECT_EQ(after, RpqReachAll(db, lang));
   EXPECT_NE(after, before);
 }
@@ -278,28 +281,121 @@ TEST(ReachMemoTest, WarmLookupServesFromMemo) {
   AutomatonInterner interner;
   const InternedNfa interned = interner.Intern(lang);
 
+  ReachMemo& memo = ReachMemo::Global();
+  memo.Clear();
+  const ReachMemo::Rows cold = RpqReachAllCached(db, interned);
+  EXPECT_EQ(*cold, RpqReachAll(db, lang));
+  EXPECT_EQ(memo.NumEntries(), 1u);  // The whole relation, one entry.
+  const uint64_t lookups = memo.cache().GetStats().hits;
+  const ReachMemo::Rows warm = RpqReachAllCached(db, interned);
+  EXPECT_EQ(warm.get(), cold.get());  // The same rows, not a copy.
+  EXPECT_EQ(memo.cache().GetStats().hits, lookups + 1);  // One lookup.
+  EXPECT_EQ(memo.NumEntries(), 1u);  // No re-insert.
+
+  // One entry per (graph, epoch, language): another language adds one, and
+  // so does the same language after a mutation.
+  const InternedNfa other =
+      interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
+  RpqReachAllCached(db, other);
+  EXPECT_EQ(memo.NumEntries(), 2u);
+  db.AddVertex();
+  RpqReachAllCached(db, interned);
+  EXPECT_EQ(memo.NumEntries(), 3u);
+}
+
+TEST(ReachMemoTest, EntryIsChargedItsRowBytes) {
+  const GraphDb db = CycleGraph(16, "a");
+  Alphabet alphabet = Alphabet::OfChars("a");
+  AutomatonInterner interner;
+  const InternedNfa interned =
+      interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
   ReachMemo::Global().Clear();
-  const auto cold = RpqReachAllCached(db, interned);
-  const size_t entries = ReachMemo::Global().NumEntries();
-  EXPECT_EQ(entries, db.NumVertices());
-  const auto warm = RpqReachAllCached(db, interned);
-  EXPECT_EQ(cold, warm);
-  EXPECT_EQ(ReachMemo::Global().NumEntries(), entries);  // No re-inserts.
+  const ReachMemo::Rows rows = RpqReachAllCached(db, interned);
+  ASSERT_EQ(rows->size(), 2u * 16 * 16);  // Every pair of the cycle.
+  EXPECT_EQ(rows->capacity(), rows->size());
+  EXPECT_EQ(ReachMemo::Global().SizeBytes(),
+            rows->size() * sizeof(VertexId) + sizeof(ReachMemoKey) +
+                kCacheEntryOverheadBytes);
+}
+
+TEST(ReachMemoTest, BudgetTripPublishesNothing) {
+  // (a|b)* on a 16-cycle: every source reaches every vertex.
+  const GraphDb db = CycleGraph(16, "ab");
+  Alphabet alphabet = Alphabet::OfChars("ab");
+  const Nfa lang = CompileRegex("(a|b)*", &alphabet).ValueOrDie();
+  AutomatonInterner interner;
+  const InternedNfa interned = interner.Intern(lang);
+  const std::vector<VertexId> full = RpqReachAll(db, lang);
+
+  for (int threads : {1, 4}) {
+    ReachMemo& memo = ReachMemo::Global();
+    memo.Clear();
+    RpqReachAllCached(db, interner.Intern(CompileRegex("a", &alphabet)
+                                              .ValueOrDie()));
+    const size_t entries = memo.NumEntries();
+
+    // Each source BFS charges one |V|·|Q|-bit visited bitset; the cap
+    // admits three, so a later source's poll trips inside the build.
+    obs::Session capped;
+    obs::EvalBudget budget;
+    budget.max_memory_bytes = 3 * ((16 * interned.nfa->NumStates() + 7) / 8);
+    capped.SetBudget(budget);
+    const ReachMemo::Rows partial =
+        RpqReachAllCached(db, interned, threads, &capped);
+    ASSERT_TRUE(capped.Exhausted()) << threads << " threads";
+    EXPECT_LT(partial->size(), full.size()) << threads << " threads";
+    EXPECT_EQ(memo.NumEntries(), entries) << threads << " threads";
+
+    // The next uncapped query builds and serves the whole relation.
+    EXPECT_EQ(*RpqReachAllCached(db, interned, threads), full)
+        << threads << " threads";
+    EXPECT_EQ(memo.NumEntries(), entries + 1) << threads << " threads";
+  }
 }
 
 TEST(ReachMemoTest, ConcurrentCachedReachIsConsistent) {
-  GraphDb db = TwoHopDb();
+  // Eight sessions evaluate warm CRPQs at once. The atoms share two
+  // languages, within and across queries, so every memoized relation is
+  // adopted by many concurrent CQ relations, each with its own indexes.
+  Rng rng(3);
+  GraphDb db = RandomGraph(&rng, 24, 2.5, 2);
   db.Finalize();
-  Alphabet alphabet = Alphabet::OfChars("ab");
-  const Nfa lang = CompileRegex("a*", &alphabet).ValueOrDie();
-  AutomatonInterner interner;
-  const InternedNfa interned = interner.Intern(lang);
-  ReachMemo::Global().Clear();
-  const auto expected = RpqReachAll(db, lang);
+  const Alphabet alphabet = Alphabet::OfChars("ab");
+  std::vector<EcrpqQuery> queries;
+  for (const char* text :
+       {"q(x, z) := x -[/a*b/]-> y, y -[/a*b/]-> z",
+        "q(x) := x -[/a*b/]-> y, y -[/(ab)*/]-> x",
+        "q() := x -[/(ab)*/]-> y, y -[/a*b/]-> z, z -[/(ab)*/]-> x"}) {
+    queries.push_back(ParseEcrpq(text, alphabet).ValueOrDie());
+  }
+  EvalOptions options;
+  options.engine = EngineChoice::kCrpqPipeline;
+  options.num_threads = 1;
+  options.disable_cache = true;
+  std::vector<EvalResult> expected;
+  for (const EcrpqQuery& query : queries) {
+    expected.push_back(EvaluatePlanned(db, query, options).ValueOrDie());
+  }
+
+  ClearGlobalCaches();
+  options.disable_cache = false;
+  for (const EcrpqQuery& query : queries) {
+    ASSERT_TRUE(EvaluatePlanned(db, query, options).ok());  // Warm up.
+  }
+  ASSERT_EQ(ReachMemo::Global().NumEntries(), 2u);
   ThreadPool pool(8);
-  pool.ParallelFor(8, [&](size_t) {
-    ASSERT_EQ(RpqReachAllCached(db, interned), expected);
+  pool.ParallelFor(8, [&](size_t worker) {
+    for (int round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t q = (i + worker) % queries.size();
+        const EvalResult got =
+            EvaluatePlanned(db, queries[q], options).ValueOrDie();
+        ASSERT_EQ(got.satisfiable, expected[q].satisfiable);
+        ASSERT_EQ(got.answers, expected[q].answers);
+      }
+    }
   });
+  EXPECT_EQ(ReachMemo::Global().NumEntries(), 2u);  // Every lookup hit.
 }
 
 TEST(ReachMemoTest, MovedFromGraphStopsServingTheOldIdentity) {
@@ -309,19 +405,19 @@ TEST(ReachMemoTest, MovedFromGraphStopsServingTheOldIdentity) {
   AutomatonInterner interner;
   const InternedNfa interned = interner.Intern(lang);
   ReachMemo::Global().Clear();
-  const auto original = RpqReachAllCached(db, interned);
+  const std::vector<VertexId> original = *RpqReachAllCached(db, interned);
   const uint64_t original_id = db.graph_id();
 
   // Move steals the identity: the stolen graph keeps serving the warm
-  // memo entries (it IS the same snapshot)...
+  // memo entry (it IS the same snapshot)...
   GraphDb stolen = std::move(db);
   EXPECT_EQ(stolen.graph_id(), original_id);
-  EXPECT_EQ(RpqReachAllCached(stolen, interned), original);
+  EXPECT_EQ(*RpqReachAllCached(stolen, interned), original);
 
   // ...while the moved-from shell holds a FRESH id at epoch 0. This is
   // the load-bearing half: if the shell retained (id, epoch), whatever
   // graph gets built in it next would silently serve the old graph's
-  // reach sets.
+  // reach relations.
   EXPECT_NE(db.graph_id(), original_id);
   EXPECT_EQ(db.graph_epoch(), 0u);
 
@@ -333,8 +429,8 @@ TEST(ReachMemoTest, MovedFromGraphStopsServingTheOldIdentity) {
   rebuilt.AddEdge(0, static_cast<Symbol>(1), 1);
   rebuilt.AddEdge(1, static_cast<Symbol>(1), 2);
   db = std::move(rebuilt);
-  EXPECT_EQ(RpqReachAllCached(db, interned), RpqReachAll(db, lang));
-  EXPECT_NE(RpqReachAllCached(db, interned), original);
+  EXPECT_EQ(*RpqReachAllCached(db, interned), RpqReachAll(db, lang));
+  EXPECT_NE(*RpqReachAllCached(db, interned), original);
 }
 
 TEST(PlanCacheTest, AlphaRenamedQueriesShareOneEntry) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/obs.h"
+#include "common/rng.h"
 
 #include "eval/generic_eval.h"
 #include "eval/naive_eval.h"
@@ -27,6 +28,40 @@ EcrpqQuery Parse(std::string_view text) {
   Result<EcrpqQuery> q = ParseEcrpq(text, kAb);
   EXPECT_TRUE(q.ok()) << q.status();
   return std::move(q).ValueOrDie();
+}
+
+// answer_latency_ns gets one sample per distinct answer on every route.
+// The tree-decomposition CQ engine materializes its bags with the
+// backtracking one, and bag tuples are not answers.
+TEST(AnswerLatencyTest, OneSamplePerAnswerOnEveryRoute) {
+  Rng rng(7);
+  const GraphDb db = RandomGraph(&rng, 64, 3.0, 2);
+  const char* kQueries[] = {
+      "q(x) := x -[/ab/]-> y, y -[/ba/]-> z",
+      "q(x, z) := x -[/ab/]-> y, y -[/ba/]-> z",
+      "q() := x -[/ab/]-> y, y -[/ba/]-> z",
+  };
+  for (const char* text : kQueries) {
+    const EcrpqQuery query = Parse(text);
+    for (EngineChoice engine :
+         {EngineChoice::kCrpqPipeline, EngineChoice::kCqReduction,
+          EngineChoice::kCqReductionNp, EngineChoice::kGeneric}) {
+      obs::Session session;
+      EvalOptions options = Forced(engine);
+      options.num_threads = 1;
+      options.obs = &session;
+      const EvalResult result =
+          EvaluatePlanned(db, query, options).ValueOrDie();
+      ASSERT_TRUE(result.satisfiable) << text;
+      EXPECT_EQ(
+          session.Report().hist(obs::HistogramId::kAnswerLatencyNs).Count(),
+          result.answers.size())
+          << text << " engine " << static_cast<int>(engine);
+      if (query.IsBoolean()) {
+        EXPECT_EQ(result.answers.size(), 1u) << text;
+      }
+    }
+  }
 }
 
 TEST(GenericEvalTest, PaperExampleOnFork) {

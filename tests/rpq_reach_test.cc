@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "automata/regex.h"
@@ -52,12 +54,17 @@ TEST(RpqReachTest, ReachAllMatchesPerSource) {
   const GraphDb db = RandomGraph(&rng, 15, 2.0, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = Compile("a(a|b)*b", &alphabet);
-  const auto all = RpqReachAll(db, lang);
+  const std::vector<VertexId> rows = RpqReachAll(db, lang);
+  ASSERT_EQ(rows.size() % 2, 0u);
+  std::set<std::pair<VertexId, VertexId>> all;
+  for (size_t i = 0; i < rows.size(); i += 2) {
+    all.emplace(rows[i], rows[i + 1]);
+  }
+  EXPECT_EQ(all.size() * 2, rows.size());  // No duplicate rows.
   for (VertexId u = 0; u < 15; ++u) {
     const auto from_u = RpqReachFrom(db, lang, u);
     for (VertexId v = 0; v < 15; ++v) {
-      const bool in_all =
-          std::find(all.begin(), all.end(), std::make_pair(u, v)) != all.end();
+      const bool in_all = all.count({u, v}) > 0;
       const bool in_from =
           std::find(from_u.begin(), from_u.end(), v) != from_u.end();
       ASSERT_EQ(in_all, in_from) << u << " -> " << v;

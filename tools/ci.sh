@@ -47,7 +47,9 @@ cmake --build build-tsan -j "$JOBS"
 # differential suite, the span buffer under concurrent writers and
 # readers, the telemetry sinks), adaptive evaluation (phase 1 runs a
 # parallel search under a private session that records into the caller's
-# span buffer) and the service layer (admission controller
+# span buffer), the cross-query caches (memoized reach rows are adopted,
+# without a copy, by the CQ relations of concurrent sessions, each with
+# its own indexes) and the service layer (admission controller
 # under saturation, concurrent sessions vs the sequential oracle, protocol
 # fuzz, request telemetry, the socket server's Serve/Stop).
 # Run with a multi-worker default so the pool actually spawns threads even
@@ -55,7 +57,7 @@ cmake --build build-tsan -j "$JOBS"
 # (BudgetInvariantsDeathTest etc.) stay out of the regex: fork-style death
 # tests and TSan don't mix.
 ECRPQ_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|Adaptive|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission|TraceTest|TelemetryRegistryTest|EventLogTest|ServiceTelemetry|SocketServer'
+  -R 'AnnotationsTest|ThreadPool|WorkStealing|FrontierScheduler|ParallelDeterminism|GraphDb|RpqReach|StreamingTest|TupleSearch|GenericEval|Adaptive|ObsTest|ObsHistogramTest|PhaseProfileTest|DifferentialSuite|CacheDifferentialSuite|RelationTest|CacheTest|AutomatonInternerTest|ReachMemoTest|PlanCacheTest|ServiceProtocol|ServiceDifferential|ServiceAdmission|TraceTest|TelemetryRegistryTest|EventLogTest|ServiceTelemetry|SocketServer'
 
 echo "== [6/13] observability smoke (differential suite + CLI stats/trace/profile/budget) =="
 ctest --test-dir build --output-on-failure -j "$JOBS" \

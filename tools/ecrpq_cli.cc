@@ -112,7 +112,7 @@ struct Args {
   uint64_t budget_mem = 0;
   int64_t budget_ms = 0;
   // Bypass the process-wide cross-query caches (plan cache, automaton
-  // interner, reach-set memo). Answers are identical either way.
+  // interner, reach memo). Answers are identical either way.
   bool no_cache = false;
   // serve only: transport selection plus service/admission configuration.
   std::string batch_path;    // "-" reads stdin.
