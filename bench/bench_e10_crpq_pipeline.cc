@@ -65,6 +65,9 @@ void RunChainCrpq(benchmark::State& state, bool fast_path) {
   EvalOptions options;
   options.engine =
       fast_path ? EngineChoice::kCrpqPipeline : EngineChoice::kGeneric;
+  // Every iteration builds its relations: with the reach memo on, all but
+  // the first would read R_L from the memo instead of materializing it.
+  options.disable_cache = true;
   for (auto _ : state) {
     EvalResult result = EvaluatePlanned(db, query, options).ValueOrDie();
     benchmark::DoNotOptimize(result);

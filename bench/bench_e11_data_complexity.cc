@@ -51,12 +51,10 @@ void RunFixedQuery(benchmark::State& state, const EcrpqQuery& query) {
       report.hist(obs::HistogramId::kReachSetSize).Percentile(0.90));
   state.counters["phase_bfs_ns_p90"] = static_cast<double>(
       report.hist(obs::HistogramId::kPhaseBfsNs).Percentile(0.90));
-  // Work-stealing runtime metrics. Direction switches and the frontier
-  // occupancy profile are deterministic; the steal counters depend on the
-  // schedule, so the sched_ prefix marks them informational for
-  // bench_compare (reported, never gated).
-  state.counters["direction_switches"] = static_cast<double>(
-      report[obs::CounterId::kDirectionSwitches]);
+  // Work-stealing runtime metrics. The frontier occupancy profile is
+  // deterministic; the steal counters depend on the schedule, so the sched_
+  // prefix marks them informational for bench_compare (reported, never
+  // gated).
   state.counters["frontier_occupancy_p90"] = static_cast<double>(
       report.hist(obs::HistogramId::kFrontierOccupancy).Percentile(0.90));
   state.counters["sched_steal_attempts"] =

@@ -38,8 +38,6 @@ const char* CounterName(CounterId id) {
       return "steal_attempts";
     case CounterId::kStealsSucceeded:
       return "steals_succeeded";
-    case CounterId::kDirectionSwitches:
-      return "direction_switches";
     case CounterId::kCacheHits:
       return "cache_hits";
     case CounterId::kCacheMisses:

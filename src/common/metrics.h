@@ -51,7 +51,7 @@ enum class CounterId : int {
   kMemoMisses,                 // Reach() calls that ran a fresh BFS.
   kReachQueries,               // Total Reach() calls (hits + misses).
   kVisitedBytes,               // Bytes allocated for visited-set tracking.
-  kRpqBfsRuns,                 // Per-source product BFS runs (RPQ layer).
+  kRpqBfsRuns,                 // RPQ-layer product sweeps (64 sources each).
   kAssignmentsTried,           // Backtracking nodes in the generic engine.
   kBranchesExplored,           // Parallel branches claimed by workers.
   kAnswersEmitted,             // Answers emitted (pre-dedup, per branch).
@@ -61,9 +61,6 @@ enum class CounterId : int {
   // "sched_" so bench_compare treats them as informational).
   kStealAttempts,              // Steal probes by idle scheduler workers.
   kStealsSucceeded,            // Steal probes that won a chunk.
-  // Direction-optimizing product BFS. Deterministic: the switch decision is
-  // a pure function of per-level frontier/unvisited sizes.
-  kDirectionSwitches,          // Top-down <-> bottom-up transitions.
   // Cross-query caching layer (common/cache.h). History-dependent: values
   // depend on what earlier evaluations left in the process-wide caches, so
   // — like the sched_ group — they are excluded from determinism
@@ -104,7 +101,7 @@ enum class HistogramId : int {
   // Phase wall-time (nanoseconds per occurrence). Non-deterministic values;
   // excluded from determinism checks.
   kPhaseNfaBuildNs = 0,      // JoinMachine / product-NFA construction.
-  kPhaseBfsNs,               // One product BFS run (tuple or per-source).
+  kPhaseBfsNs,               // One tuple-search BFS or one RPQ sweep.
   kPhaseReduceNs,            // One reduction component materialization.
   kPhaseBagMaterializeNs,    // One tree-dec bag materialization.
   kPhaseBranchNs,            // One parallel branch evaluation.
@@ -112,7 +109,7 @@ enum class HistogramId : int {
   // Work-size samples. Deterministic bucket counts whenever the engine's
   // work set does not depend on the pool size (see header comment).
   kFrontierSize,             // BFS frontier size at each pop.
-  kReachSetSize,             // Accepting targets found per fresh BFS.
+  kReachSetSize,             // Accepting targets per searched source.
   kBagWidth,                 // Variables per materialized tree-dec bag.
   kFrontierOccupancy,        // Frontier size per level (level-sync BFS).
   kCacheLookupNs,            // One sharded-LRU lookup, hit or miss.

@@ -1,54 +1,28 @@
 #include "graphdb/rpq_reach.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include "common/bitset.h"
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/worklist.h"
 
 namespace ecrpq {
 namespace {
 
-// Product-space BFS from (source, initial states). Product states are coded
-// v * |Q| + q. Returns the visited bitset.
 constexpr Symbol kEpsilonStep = ~Symbol{0};
 
-// Direction-switching thresholds (Beamer-style). Enter the bottom-up
-// (pull) phase when the frontier has grown past 1/kBottomUpAlpha of the
-// unvisited space — at that density, scanning unvisited states for a
-// frontier predecessor touches fewer edges than pushing the whole frontier.
-// Return to top-down (push) once the frontier shrinks below 1/kTopDownBeta
-// of the full space. Both tests are pure functions of per-level set sizes,
-// so the traversal direction — and the direction_switches counter — is
-// deterministic for a given graph and language.
-constexpr size_t kBottomUpAlpha = 8;
-constexpr size_t kTopDownBeta = 24;
-
-// Reverse NFA adjacency: for each state q, the transitions *into* q.
-struct ReverseTransition {
-  Label label;
-  StateId from;
-};
-
-std::vector<std::vector<ReverseTransition>> ReverseTransitionsOf(
-    const Nfa& lang) {
-  std::vector<std::vector<ReverseTransition>> rev(
-      static_cast<size_t>(lang.NumStates()));
-  for (StateId q = 0; q < static_cast<StateId>(lang.NumStates()); ++q) {
-    for (const Nfa::Transition& t : lang.TransitionsFrom(q)) {
-      rev[t.to].push_back(ReverseTransition{t.label, q});
-    }
-  }
-  return rev;
-}
+// A sweep searches from one machine word of sources at once: bit i of a
+// product state's word stands for the sweep's i-th source.
+constexpr size_t kSweepWidth = 64;
 
 // Witness-path BFS: the sparse 0/1-BFS with parent pointers. Kept separate
-// from the reach-only traversal because shortest-path structure needs the
-// ε-steps-first pop order that the level-synchronous direction-optimizing
-// sweep deliberately gives up.
+// from the reach sweep because shortest-path structure needs parents and
+// the ε-steps-first pop order that a level-synchronous sweep gives up.
 DynamicBitset ProductBfsWitness(
     const GraphDb& db, const Nfa& lang, VertexId source,
     std::vector<std::pair<uint32_t, Symbol>>* parents) {
@@ -97,112 +71,160 @@ DynamicBitset ProductBfsWitness(
   return visited;
 }
 
-// Reach-only BFS: level-synchronous, direction-optimizing. The visited set
-// it computes is exactly the reachability closure — independent of
-// traversal order and direction — so RpqReachFrom's output is byte-
-// identical whichever sequence of push/pull levels the heuristic picks.
-DynamicBitset ProductBfsReach(const GraphDb& db, const Nfa& lang,
-                              VertexId source, obs::MetricsShard* shard) {
-  const size_t nq = static_cast<size_t>(lang.NumStates());
-  const size_t total = static_cast<size_t>(db.NumVertices()) * nq;
-  DynamicBitset visited(total);
-  DynamicBitset frontier(total);
-  DynamicBitset next(total);
+// The automaton as a sweep reads it. Its ε-moves are folded in: each
+// symbol move leads to the ε-closure of its target, so one level of a
+// sweep is one graph edge. Only the states that can matter to a row, those
+// with a symbol move or accepting, are kept, renumbered densely.
+struct SweepAutomaton {
+  struct Move {
+    Symbol symbol;
+    std::vector<StateId> to;
+  };
 
-  std::vector<StateId> init(lang.initial());
-  lang.EpsilonClose(&init);
-  size_t frontier_count = 0;
-  for (StateId q : init) {
-    const size_t code = source * nq + q;
-    if (visited.TestAndSet(code)) {
-      frontier.Set(code);
-      ++frontier_count;
+  explicit SweepAutomaton(const Nfa& lang) {
+    constexpr StateId kDropped = ~StateId{0};
+    std::vector<StateId> id(static_cast<size_t>(lang.NumStates()), kDropped);
+    for (StateId q = 0; q < id.size(); ++q) {
+      const auto out = lang.TransitionsFrom(q);
+      if (lang.IsAccepting(q) ||
+          std::any_of(out.begin(), out.end(), [](const Nfa::Transition& t) {
+            return t.label != kEpsilon;
+          })) {
+        id[q] = static_cast<StateId>(accepting.size());
+        accepting.push_back(lang.IsAccepting(q));
+      }
+    }
+    auto closure = [&](std::vector<StateId> states) {
+      lang.EpsilonClose(&states);
+      std::vector<StateId> kept;
+      for (StateId q : states) {
+        if (id[q] != kDropped) kept.push_back(id[q]);
+      }
+      return kept;
+    };
+    init = closure(lang.initial());
+    moves.resize(accepting.size());
+    for (StateId q = 0; q < id.size(); ++q) {
+      for (const Nfa::Transition& t : lang.TransitionsFrom(q)) {
+        if (t.label == kEpsilon) continue;
+        moves[id[q]].push_back(
+            {static_cast<Symbol>(t.label), closure({t.to})});
+      }
     }
   }
-  size_t visited_count = frontier_count;
 
-  const std::vector<std::vector<ReverseTransition>> rev =
-      ReverseTransitionsOf(lang);
+  size_t NumStates() const { return accepting.size(); }
 
-  bool bottom_up = false;
-  uint64_t direction_switches = 0;
-  while (frontier_count > 0) {
-    obs::Record(shard, obs::HistogramId::kFrontierOccupancy, frontier_count);
-    const size_t unvisited = total - visited_count;
-    // Hysteresis: push until the frontier dominates the unvisited space,
-    // then pull until the frontier thins out again.
-    const bool want_bottom_up =
-        bottom_up ? frontier_count * kTopDownBeta >= total
-                  : frontier_count * kBottomUpAlpha > unvisited;
-    if (want_bottom_up != bottom_up) {
-      bottom_up = want_bottom_up;
-      ++direction_switches;
+  std::vector<StateId> init;
+  std::vector<std::vector<Move>> moves;  // Indexed by state.
+  std::vector<bool> accepting;           // Indexed by state.
+};
+
+// A product state (v, q) of D × SweepAutomaton. Its code in the dense
+// arrays is v·|Q'| + q, |Q'| = SweepAutomaton::NumStates().
+struct ProductState {
+  VertexId v;
+  StateId q;
+};
+
+// What one sweep works in. The dense arrays are indexed by product-state
+// code (or by vertex) and are all-zero between sweeps: a sweep clears
+// exactly the entries it set, so the next one costs its own work, not the
+// arrays' size.
+struct SweepScratch {
+  SweepScratch(size_t num_states, size_t num_vertices)
+      : seen(num_states), next(num_states), targets(num_vertices) {}
+
+  std::vector<uint64_t> seen;     // Sources that reached the state.
+  std::vector<uint64_t> next;     // Sources new to the state this level.
+  std::vector<uint64_t> targets;  // Sources whose reach set holds the vertex.
+  std::vector<ProductState> reached;  // States whose `seen` word is nonzero.
+  std::vector<ProductState> grown;    // States whose `next` word is nonzero.
+  std::vector<std::pair<ProductState, uint64_t>> frontier;  // New sources.
+  std::vector<VertexId> hits;     // Vertices whose `targets` word is nonzero.
+};
+
+// One level-synchronous product sweep from the `width` sources starting at
+// `first`. A level pushes each frontier word along the state's moves over
+// the per-symbol CSR slices,
+//   next[(w, q')] |= frontier[(v, q)] & ~seen[(w, q')],
+// and the states whose `next` word is nonzero, carrying only those new
+// bits, form the next level. `seen` ends as the union of the sources'
+// reachability closures, which no visit order changes. Returns the
+// sources' rows of R_L, row-major, sources then targets ascending.
+std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
+                            VertexId first, size_t width, SweepScratch* s,
+                            obs::MetricsShard* shard) {
+  const size_t nq = automaton.NumStates();
+  auto code_of = [nq](ProductState p) {
+    return static_cast<size_t>(p.v) * nq + p.q;
+  };
+  auto gain = [s, &code_of](ProductState p, uint64_t word) {
+    const size_t code = code_of(p);
+    const uint64_t fresh = word & ~s->seen[code];
+    if (fresh == 0) return;
+    if (s->next[code] == 0) s->grown.push_back(p);
+    s->next[code] |= fresh;
+  };
+  for (size_t i = 0; i < width; ++i) {
+    for (StateId q : automaton.init) {
+      gain({first + static_cast<VertexId>(i), q}, uint64_t{1} << i);
     }
-
-    size_t next_count = 0;
-    if (!bottom_up) {
-      // Top-down: push every frontier state across its transitions, using
-      // the sorted per-symbol CSR slices for the edge scans.
-      frontier.ForEachSetBit([&](size_t code) {
-        const VertexId v = static_cast<VertexId>(code / nq);
-        const StateId q = static_cast<StateId>(code % nq);
-        for (const Nfa::Transition& t : lang.TransitionsFrom(q)) {
-          if (t.label == kEpsilon) {
-            const size_t cand = v * nq + t.to;
-            if (!visited.Test(cand) && !next.Test(cand)) {
-              next.Set(cand);
-              ++next_count;
-            }
-            continue;
-          }
-          for (const LabeledEdge& e :
-               db.OutEdges(v, static_cast<Symbol>(t.label))) {
-            const size_t cand = static_cast<size_t>(e.to) * nq + t.to;
-            if (!visited.Test(cand) && !next.Test(cand)) {
-              next.Set(cand);
-              ++next_count;
-            }
-          }
-        }
-      });
-    } else {
-      // Bottom-up: scan unvisited states for any predecessor in the
-      // frontier (reverse NFA transitions x in-edge CSR slices) and stop at
-      // the first hit per state.
-      visited.ForEachUnsetBit([&](size_t code) {
-        if (next.Test(code)) return;  // Claimed earlier this level.
-        const VertexId v = static_cast<VertexId>(code / nq);
-        const StateId q = static_cast<StateId>(code % nq);
-        for (const ReverseTransition& t : rev[q]) {
-          if (t.label == kEpsilon) {
-            if (frontier.Test(v * nq + t.from)) {
-              next.Set(code);
-              ++next_count;
-              return;
-            }
-            continue;
-          }
-          for (const LabeledEdge& e :
-               db.InEdges(v, static_cast<Symbol>(t.label))) {
-            // InEdges yields (symbol, tail): e.to is the edge's source.
-            if (frontier.Test(static_cast<size_t>(e.to) * nq + t.from)) {
-              next.Set(code);
-              ++next_count;
-              return;
-            }
-          }
-        }
-      });
-    }
-    // Word-parallel level fold: commit the level and advance.
-    visited.OrAssign(next);
-    visited_count += next_count;
-    std::swap(frontier, next);
-    next.Clear();
-    frontier_count = next_count;
   }
-  obs::Add(shard, obs::CounterId::kDirectionSwitches, direction_switches);
-  return visited;
+  while (!s->grown.empty()) {
+    // Commit the level: its new bits join `seen` and become the frontier.
+    s->frontier.clear();
+    for (ProductState p : s->grown) {
+      const size_t code = code_of(p);
+      const uint64_t word = std::exchange(s->next[code], 0);
+      if (s->seen[code] == 0) s->reached.push_back(p);
+      s->seen[code] |= word;
+      s->frontier.emplace_back(p, word);
+    }
+    s->grown.clear();
+    obs::Record(shard, obs::HistogramId::kFrontierOccupancy,
+                s->frontier.size());
+    for (const auto& [p, word] : s->frontier) {
+      for (const SweepAutomaton::Move& move : automaton.moves[p.q]) {
+        for (const LabeledEdge& e : db.OutEdges(p.v, move.symbol)) {
+          for (StateId q : move.to) gain({e.to, q}, word);
+        }
+      }
+    }
+  }
+
+  // Accepting fold over the reached states only, clearing `seen` behind it.
+  for (ProductState p : s->reached) {
+    const uint64_t word = std::exchange(s->seen[code_of(p)], 0);
+    if (!automaton.accepting[p.q]) continue;
+    if (s->targets[p.v] == 0) s->hits.push_back(p.v);
+    s->targets[p.v] |= word;
+  }
+  s->reached.clear();
+  std::sort(s->hits.begin(), s->hits.end());
+  // Source i's rows are rows [offset[i], offset[i + 1]); walking the hit
+  // vertices in ascending order fills each block with ascending targets.
+  std::array<size_t, kSweepWidth + 1> offset{};
+  for (VertexId v : s->hits) {
+    for (uint64_t w = s->targets[v]; w != 0; w &= w - 1) {
+      ++offset[std::countr_zero(w) + 1];
+    }
+  }
+  for (size_t i = 0; i < width; ++i) {
+    obs::Record(shard, obs::HistogramId::kReachSetSize, offset[i + 1]);
+    offset[i + 1] += offset[i];
+  }
+  std::vector<VertexId> rows(2 * offset[width]);
+  for (VertexId v : s->hits) {
+    for (uint64_t w = std::exchange(s->targets[v], 0); w != 0; w &= w - 1) {
+      const size_t i = static_cast<size_t>(std::countr_zero(w));
+      const size_t row = offset[i]++;
+      rows[2 * row] = first + static_cast<VertexId>(i);
+      rows[2 * row + 1] = v;
+    }
+  }
+  s->hits.clear();
+  return rows;
 }
 
 }  // namespace
@@ -210,75 +232,75 @@ DynamicBitset ProductBfsReach(const GraphDb& db, const Nfa& lang,
 std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
                                    VertexId source,
                                    obs::MetricsShard* shard) {
-  const size_t nq = static_cast<size_t>(lang.NumStates());
+  const size_t n = static_cast<size_t>(db.NumVertices());
+  const SweepAutomaton automaton(lang);
+  SweepScratch scratch(n * automaton.NumStates(), n);
+  const std::vector<VertexId> rows =
+      Sweep(db, automaton, source, 1, &scratch, shard);
   std::vector<VertexId> out;
-  if (nq == 0) return out;
-  const DynamicBitset visited = ProductBfsReach(db, lang, source, shard);
-  // Accepting fold, word-parallel: sweep set product states once, mark the
-  // vertices whose state component accepts, then sweep the vertex bitset to
-  // emit them in sorted order.
-  DynamicBitset accepting_vertices(static_cast<size_t>(db.NumVertices()));
-  visited.ForEachSetBit([&](size_t code) {
-    if (lang.IsAccepting(static_cast<StateId>(code % nq))) {
-      accepting_vertices.Set(code / nq);
-    }
-  });
-  accepting_vertices.ForEachSetBit(
-      [&](size_t v) { out.push_back(static_cast<VertexId>(v)); });
+  out.reserve(rows.size() / 2);
+  for (size_t i = 1; i < rows.size(); i += 2) out.push_back(rows[i]);
   return out;
 }
 
 std::vector<VertexId> RpqReachAll(const GraphDb& db, const Nfa& lang,
                                   int num_threads, obs::Session* obs) {
-  const VertexId n = static_cast<VertexId>(db.NumVertices());
+  const size_t n = static_cast<size_t>(db.NumVertices());
+  const size_t num_sweeps = (n + kSweepWidth - 1) / kSweepWidth;
   const int threads = ThreadPool::ResolveNumThreads(num_threads);
   obs::Span span(obs != nullptr ? obs->trace() : nullptr, "RpqReachAll");
   obs::MetricsShard* shard =
       obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
-  // One product-space visited bitset per source BFS.
-  const uint64_t bfs_bytes =
-      (static_cast<uint64_t>(n) * static_cast<uint64_t>(lang.NumStates()) +
-       7) /
-      8;
-  std::vector<std::vector<VertexId>> per_source(n);
-  auto run_source = [&](VertexId u) {
+  const SweepAutomaton automaton(lang);
+  const size_t num_states = n * automaton.NumStates();
+  // Each source is charged the |V|·|Q|-bit visited set a search of its own
+  // would need, so the charge per relation does not depend on batching.
+  const uint64_t source_bytes =
+      (n * static_cast<uint64_t>(lang.NumStates()) + 7) / 8;
+  std::vector<std::vector<VertexId>> per_sweep(num_sweeps);
+  auto run_sweep = [&](size_t b, SweepScratch* scratch) {
+    const VertexId first = static_cast<VertexId>(b * kSweepWidth);
+    const size_t width = std::min(kSweepWidth, n - first);
     obs::Add(shard, obs::CounterId::kRpqBfsRuns);
-    obs::Add(shard, obs::CounterId::kVisitedBytes, bfs_bytes);
-    obs::ScopedTimer bfs_timer(shard, obs::HistogramId::kPhaseBfsNs);
-    per_source[u] = RpqReachFrom(db, lang, u, shard);
-    obs::Record(shard, obs::HistogramId::kReachSetSize, per_source[u].size());
-    obs::Add(shard, obs::CounterId::kTuplesMaterialized, per_source[u].size());
+    obs::Add(shard, obs::CounterId::kVisitedBytes, width * source_bytes);
+    obs::ScopedTimer sweep_timer(shard, obs::HistogramId::kPhaseBfsNs);
+    per_sweep[b] = Sweep(db, automaton, first, width, scratch, shard);
+    obs::Add(shard, obs::CounterId::kTuplesMaterialized,
+             per_sweep[b].size() / 2);
   };
-  if (threads <= 1 || n < 2) {
-    for (VertexId u = 0; u < n; ++u) {
-      // One poll per source BFS: a run is the natural coarse stride here.
+  if (threads <= 1 || num_sweeps < 2) {
+    SweepScratch scratch(num_states, n);
+    for (size_t b = 0; b < num_sweeps; ++b) {
+      // One poll per sweep: a sweep is the natural coarse stride here.
       if (obs != nullptr && obs->CheckBudget()) break;
-      run_source(u);
+      run_sweep(b, &scratch);
     }
   } else {
-    // Each source's BFS is independent; the frontier scheduler only
-    // redistributes *which worker* fills which slot.
+    // Sweeps are independent; the frontier scheduler only redistributes
+    // *which worker* fills which slot. Each worker allocates its scratch
+    // on its first sweep.
     db.Finalize();  // The lazy CSR build is not thread-safe; do it up front.
+    std::vector<std::optional<SweepScratch>> scratch(
+        std::min(static_cast<size_t>(threads), num_sweeps));
     FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
-    scheduler.Execute(n, [&](size_t u, int /*worker*/) {
-      // Same per-BFS poll as the sequential loop; once the budget trips,
-      // remaining sources fall through without running their search.
+    scheduler.Execute(num_sweeps, [&](size_t b, int worker) {
+      // Same per-sweep poll as the sequential loop; once the budget trips,
+      // remaining sweeps fall through without running.
       if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
-      run_source(static_cast<VertexId>(u));
+      std::optional<SweepScratch>& mine = scratch[worker];
+      if (!mine.has_value()) mine.emplace(num_states, n);
+      run_sweep(b, &*mine);
     });
   }
-  // Slots concatenated in source order: byte-identical for any pool size.
-  size_t num_rows = 0;
-  for (const std::vector<VertexId>& targets : per_source) {
-    num_rows += targets.size();
+  // Slots concatenated in sweep order: byte-identical for any pool size.
+  size_t num_values = 0;
+  for (const std::vector<VertexId>& block : per_sweep) {
+    num_values += block.size();
   }
   std::vector<VertexId> rows;
-  rows.reserve(2 * num_rows);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : per_source[u]) {
-      rows.push_back(u);
-      rows.push_back(v);
-    }
+  rows.reserve(num_values);
+  for (const std::vector<VertexId>& block : per_sweep) {
+    rows.insert(rows.end(), block.begin(), block.end());
   }
   return rows;
 }

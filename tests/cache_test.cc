@@ -319,8 +319,9 @@ TEST(ReachMemoTest, EntryIsChargedItsRowBytes) {
 }
 
 TEST(ReachMemoTest, BudgetTripPublishesNothing) {
-  // (a|b)* on a 16-cycle: every source reaches every vertex.
-  const GraphDb db = CycleGraph(16, "ab");
+  // (a|b)* on a 512-cycle: every source reaches every vertex, in eight
+  // sweeps of 64 sources.
+  const GraphDb db = CycleGraph(512, "ab");
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = CompileRegex("(a|b)*", &alphabet).ValueOrDie();
   AutomatonInterner interner;
@@ -334,11 +335,15 @@ TEST(ReachMemoTest, BudgetTripPublishesNothing) {
                                               .ValueOrDie()));
     const size_t entries = memo.NumEntries();
 
-    // Each source BFS charges one |V|·|Q|-bit visited bitset; the cap
-    // admits three, so a later source's poll trips inside the build.
+    // Each sweep charges one |V|·|Q|-bit visited set per source; the cap
+    // admits two sweeps, so the poll before the third trips inside the
+    // build. At 4 threads at most five sweeps pass their poll before the
+    // charges reach the cap (two charged, three in flight), so some of the
+    // eight are always skipped.
     obs::Session capped;
     obs::EvalBudget budget;
-    budget.max_memory_bytes = 3 * ((16 * interned.nfa->NumStates() + 7) / 8);
+    budget.max_memory_bytes =
+        2 * 64 * ((512 * interned.nfa->NumStates() + 7) / 8);
     capped.SetBudget(budget);
     const ReachMemo::Rows partial =
         RpqReachAllCached(db, interned, threads, &capped);

@@ -281,8 +281,10 @@ TEST(ParallelDeterminismTest, CqReductionBudgetError) {
 }
 
 TEST(ParallelDeterminismTest, RpqReachAllAnyPoolSize) {
+  // 200 vertices are four sweeps of at most 64 sources, so 2 and 4 workers
+  // split the relation build between them.
   Rng rng(10);
-  const GraphDb db = RandomGraph(&rng, 20, 2.5, 2);
+  const GraphDb db = RandomGraph(&rng, 200, 2.5, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   Result<Nfa> lang = CompileRegex("a(a|b)*b", &alphabet);
   ASSERT_TRUE(lang.ok()) << lang.status();

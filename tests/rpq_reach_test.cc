@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "automata/regex.h"
-#include "common/obs.h"
 #include "common/rng.h"
 #include "graphdb/generators.h"
 #include "graphdb/rpq_reach.h"
@@ -72,23 +72,19 @@ TEST(RpqReachTest, ReachAllMatchesPerSource) {
   }
 }
 
-TEST(RpqReachTest, DirectionSwitchFiresOnDenseGraphAndPreservesResults) {
+TEST(RpqReachTest, DenseGraphMatchesWitnessOracle) {
   // A dense random graph with a permissive language saturates the product
-  // space within a couple of levels, so the Beamer heuristic must take at
-  // least one top-down -> bottom-up switch — this pins the pull phase as
-  // live code. Correctness cross-check: the witness search runs a separate
-  // sparse 0/1-BFS, so agreement between RpqReachFrom and
-  // RpqWitnessPath.has_value() exercises push/pull against an independent
+  // space within a couple of levels, so most states are reached along many
+  // paths at once. Correctness cross-check: the witness search runs a
+  // separate sparse 0/1-BFS, so agreement between RpqReachFrom and
+  // RpqWitnessPath.has_value() checks the sweep against an independent
   // traversal.
   Rng rng(77);
   const GraphDb db = RandomGraph(&rng, 24, 6.0, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = Compile("(a|b)*", &alphabet);
-  obs::Session session;
-  obs::MetricsShard* shard = session.metrics().AcquireShard();
-  uint64_t switches_seen = 0;
   for (VertexId u = 0; u < 24; ++u) {
-    const std::vector<VertexId> reached = RpqReachFrom(db, lang, u, shard);
+    const std::vector<VertexId> reached = RpqReachFrom(db, lang, u);
     for (VertexId v = 0; v < 24; ++v) {
       const bool in_reach =
           std::find(reached.begin(), reached.end(), v) != reached.end();
@@ -96,11 +92,82 @@ TEST(RpqReachTest, DirectionSwitchFiresOnDenseGraphAndPreservesResults) {
           << u << " -> " << v;
     }
   }
-  switches_seen =
-      session.Report()[obs::CounterId::kDirectionSwitches];
-  EXPECT_GT(switches_seen, 0u)
-      << "dense instance never entered the bottom-up phase; the "
-         "direction-optimizing pull path is dead code under this test";
+}
+
+// a+ b with ε-moves inside and after the word: 0 -a-> 1, 1 -ε-> 0,
+// 1 -ε-> 2, 2 -b-> 3, 3 -ε-> 4, only 4 accepting.
+Nfa EpsilonMovesNfa() {
+  constexpr Label kA = 0;
+  constexpr Label kB = 1;
+  Nfa nfa(5);
+  nfa.SetInitial(0);
+  nfa.AddTransition(0, kA, 1);
+  nfa.AddTransition(1, kEpsilon, 0);
+  nfa.AddTransition(1, kEpsilon, 2);
+  nfa.AddTransition(2, kB, 3);
+  nfa.AddTransition(3, kEpsilon, 4);
+  nfa.SetAccepting(4);
+  return nfa;
+}
+
+// a | b+ with two initial states: 0 -a-> 2, 1 -b-> 3, 3 -b-> 3.
+Nfa TwoInitialStatesNfa() {
+  constexpr Label kA = 0;
+  constexpr Label kB = 1;
+  Nfa nfa(4);
+  nfa.SetInitial(0);
+  nfa.SetInitial(1);
+  nfa.AddTransition(0, kA, 2);
+  nfa.AddTransition(1, kB, 3);
+  nfa.AddTransition(3, kB, 3);
+  nfa.SetAccepting(2);
+  nfa.SetAccepting(3);
+  return nfa;
+}
+
+TEST(RpqReachTest, SweepBoundariesMatchWitnessOracle) {
+  // RpqReachAll searches 64 sources per sweep. The sizes give one partial
+  // sweep, one full sweep, a full sweep plus a one-source tail, and three
+  // sweeps; the pool sizes split them across workers. The oracle is the
+  // witness search, an independent 0/1-BFS per pair, and its pairs are
+  // listed in row-major order, so equality also checks the row order.
+  Alphabet alphabet = Alphabet::OfChars("ab");
+  const std::vector<Nfa> langs = {
+      Compile("", &alphabet),   Compile("a", &alphabet),
+      Compile("a*b", &alphabet), Compile("(a|b)*", &alphabet),
+      EpsilonMovesNfa(),        TwoInitialStatesNfa()};
+  for (int n : {1, 63, 64, 65, 130}) {
+    Rng rng(static_cast<uint64_t>(n));
+    const GraphDb db = RandomGraph(&rng, n, 1.5, 2);
+    const VertexId num_vertices = static_cast<VertexId>(n);
+    for (size_t l = 0; l < langs.size(); ++l) {
+      std::vector<VertexId> expected;
+      for (VertexId u = 0; u < num_vertices; ++u) {
+        for (VertexId v = 0; v < num_vertices; ++v) {
+          if (RpqWitnessPath(db, langs[l], u, v).has_value()) {
+            expected.push_back(u);
+            expected.push_back(v);
+          }
+        }
+      }
+      if (l == 0) {
+        // ε: exactly the reflexive pairs.
+        ASSERT_EQ(expected.size(), 2 * num_vertices) << n << " vertices";
+      }
+      for (int threads : {1, 2, 4}) {
+        const std::vector<VertexId> rows = RpqReachAll(db, langs[l], threads);
+        EXPECT_EQ(rows, expected)
+            << n << " vertices, language " << l << ", " << threads
+            << " threads";
+        EXPECT_EQ(rows.capacity(), rows.size());
+        for (size_t i = 2; i < rows.size(); i += 2) {
+          ASSERT_LT(std::tie(rows[i - 2], rows[i - 1]),
+                    std::tie(rows[i], rows[i + 1]))
+              << "row " << i / 2;
+        }
+      }
+    }
+  }
 }
 
 TEST(RpqReachTest, WitnessPathIsValidAndInLanguage) {
