@@ -57,17 +57,12 @@ void BM_TractableQueryLength(benchmark::State& state) {
   state.counters["n"] = length;  // Canonical size for --json.
   ExportPipelineCounters(state, db, query);
 }
-// The /10 point is a known non-monotone outlier (~3-4x the /12 time) and
-// it is planning, not evaluation: profiling puts ~80% of its wall time in
-// TreeDec.decompose. Up through length 11 the reduced CQ's Gaifman graph
-// still fits TreewidthBest's exact_threshold (18 vertices), so planning
-// runs the O*(2^n) Held-Karp exact DP, whose cost roughly quadruples per
-// unit of length (0.1ms at /6, 1.1ms at /8, 10ms at /10); from /12 on the
-// graph exceeds the threshold and planning falls back to the min-fill /
-// min-degree heuristics (~0.05ms). The spike is that policy boundary —
-// pay exponential planning only while it is affordable — and is stable
-// across repetitions, so the perf gate's slack model handles it like any
-// other point.
+// Up through length 11 the reduced CQ's Gaifman graph fits TreewidthBest's
+// exact_threshold (18 vertices), where the O*(2^n) Held-Karp DP would cost
+// ~10ms at /10, several times the whole evaluation. Along this chain the
+// min-fill width meets the degeneracy lower bound, so TreewidthBest
+// proves it exact without the DP and the curve is monotone in length
+// (the /10 point used to be a 3-4x outlier against /12).
 BENCHMARK(BM_TractableQueryLength)
     ->DenseRange(2, 14, 2)
     ->Unit(benchmark::kMillisecond);

@@ -1,6 +1,7 @@
 #include "eval/generic_eval.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -76,6 +77,10 @@ struct Engine {
   // Cooperative cancellation, flipped by the coordinator once the replay
   // has everything it needs (or an abort stopped it).
   const CancelToken* cancel = nullptr;
+  // Boolean queries: the least branch some worker found satisfied. The
+  // ordered replay stops at or before it, so a branch above it is never
+  // consumed and its search stops (Stopped()).
+  const std::atomic<VertexId>* least_satisfied = nullptr;
 
   // Metrics shard of this engine (one engine == one worker thread); null
   // when no obs session is attached.
@@ -115,11 +120,16 @@ struct Engine {
     last_branch = branch;
     record = branch_record;
     done = false;
+    result.satisfiable = false;
   }
 
   bool Stopped() const {
     if (done) return true;
     if (cancel != nullptr && cancel->IsCancelled()) return true;
+    if (least_satisfied != nullptr &&
+        last_branch > least_satisfied->load(std::memory_order_relaxed)) {
+      return true;
+    }
     if (options.obs != nullptr) {
       if (options.obs->Exhausted()) return true;
       if ((++budget_tick & (kEngineBudgetStride - 1)) == 0 &&
@@ -280,12 +290,20 @@ Result<EvalResult> EvaluateParallel(
   const int num_workers = std::min<int>(threads, static_cast<int>(n));
 
   CancelToken cancel;
+  // Boolean queries only: the replay of a satisfied branch ends the run,
+  // so every branch above the least satisfied one can be skipped without
+  // changing the outcome, the on_answer calls or a budget error.
+  std::atomic<VertexId> least_satisfied{n};
+  const bool skip_above_satisfied = query.IsBoolean();
   std::vector<std::unique_ptr<Engine>> engines;
   engines.reserve(num_workers);
   for (int w = 0; w < num_workers; ++w) {
     engines.push_back(std::make_unique<Engine>(db, query, options, plans));
     ECRPQ_RETURN_NOT_OK(engines.back()->InitSearchers());
     engines.back()->cancel = &cancel;
+    if (skip_above_satisfied) {
+      engines.back()->least_satisfied = &least_satisfied;
+    }
   }
 
   std::vector<std::vector<RecordedAnswer>> branches(n);
@@ -313,16 +331,25 @@ Result<EvalResult> EvaluateParallel(
   FrontierScheduler scheduler(ThreadPool::Shared(threads), sched_shard);
   scheduler.Start(n, [&](size_t b, int w) {
     ECRPQ_DCHECK(static_cast<size_t>(w) < engines.size());
-    if (!cancel.IsCancelled()) {
+    const VertexId branch = static_cast<VertexId>(b);
+    if (!cancel.IsCancelled() &&
+        branch <= least_satisfied.load(std::memory_order_relaxed)) {
       Engine& eng = *engines[w];
       obs::Span branch_span(TraceOf(options), "EvaluateGeneric.branch", b);
       obs::Add(eng.shard, obs::CounterId::kBranchesExplored);
       obs::ScopedTimer branch_timer(eng.shard,
                                     obs::HistogramId::kPhaseBranchNs);
-      eng.ResetForBranch(static_cast<VertexId>(b), &branches[b]);
+      eng.ResetForBranch(branch, &branches[b]);
       eng.assignment = base_assignment;
-      eng.assignment[branch_var] = static_cast<VertexId>(b);
+      eng.assignment[branch_var] = branch;
       eng.SolveComponent(0, isolated_free);
+      if (skip_above_satisfied && eng.result.satisfiable) {
+        VertexId least = least_satisfied.load(std::memory_order_relaxed);
+        while (branch < least &&
+               !least_satisfied.compare_exchange_weak(
+                   least, branch, std::memory_order_relaxed)) {
+        }
+      }
     }
     {
       MutexLock lock(coord.mutex);

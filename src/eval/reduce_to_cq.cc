@@ -2,12 +2,12 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
-#include "common/thread_pool.h"
 #include "cq/eval_backtrack.h"
 #include "cq/eval_treedec.h"
 #include "eval/engines.h"
@@ -46,14 +46,6 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
   const std::vector<ComponentPlan> plans = PlanComponents(query);
   const VertexId n = static_cast<VertexId>(db.NumVertices());
 
-  const int threads = ThreadPool::ResolveNumThreads(options.num_threads);
-  ThreadPool* pool = nullptr;
-  if (threads > 1 && n > 1) {
-    db.Finalize();  // The lazy CSR build is not thread-safe.
-    pool = ThreadPool::Shared(threads);
-  }
-  const int num_workers = pool != nullptr ? threads : 1;
-
   for (size_t c = 0; c < plans.size() && n > 0; ++c) {
     const ComponentPlan& plan = plans[c];
     const int r = static_cast<int>(plan.paths.size());
@@ -62,32 +54,13 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
                              static_cast<uint64_t>(c));
     obs::ScopedTimer component_timer(shard, obs::HistogramId::kPhaseReduceNs);
 
-    // One machine + searcher per worker: the machine's lazy determinization
-    // caches are not shareable across threads, and the enumeration below
-    // never repeats a source tuple, so splitting the memo loses nothing.
-    std::vector<std::unique_ptr<JoinMachine>> machines;
-    std::vector<std::unique_ptr<TupleSearcher>> searchers;
-    std::vector<TupleSearcher*> searcher_ptrs;
+    std::optional<JoinMachine> machine;
     {
       obs::ScopedTimer nfa_timer(shard, obs::HistogramId::kPhaseNfaBuildNs);
-      for (int w = 0; w < num_workers; ++w) {
-        ECRPQ_ASSIGN_OR_RAISE(
-            JoinMachine machine,
-            JoinMachine::Create(query.alphabet(), plan.machine_components, r));
-        machines.push_back(std::make_unique<JoinMachine>(std::move(machine)));
-        TupleSearchOptions search_options;
-        search_options.obs = options.obs;
-        ECRPQ_ASSIGN_OR_RAISE(
-            TupleSearcher searcher,
-            TupleSearcher::Create(&db, machines.back().get(), search_options));
-        searchers.push_back(
-            std::make_unique<TupleSearcher>(std::move(searcher)));
-        searcher_ptrs.push_back(searchers.back().get());
-      }
+      ECRPQ_ASSIGN_OR_RAISE(
+          machine,
+          JoinMachine::Create(query.alphabet(), plan.machine_components, r));
     }
-
-    ECRPQ_ASSIGN_OR_RAISE(Relation * rel,
-                          reduction.db->AddRelation(name, 2 * r));
 
     // The CQ atom R'_C(x_1, y_1, ..., x_r, y_r). Lemma 4.3's atom is a pure
     // 2r-ary template: when the same node variable occupies several endpoint
@@ -119,67 +92,26 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
       }
     }
 
-    // Enumerate all |V|^r source tuples — the O(|D|^{2 cc_vertex}) step.
-    // Tuples are drawn in mixed-radix order and searched in batches: the
-    // per-tuple product BFS runs fan out across the pool, and the batch is
-    // merged back in enumeration order, so relation contents and any budget
-    // error are identical to the sequential run.
-    constexpr size_t kBatchSize = 1024;
-    std::vector<VertexId> sources(r, 0);
-    std::vector<uint32_t> row(2 * r);
-    std::vector<std::vector<VertexId>> batch;
-    bool exhausted = false;
-    while (!exhausted) {
-      batch.clear();
-      while (batch.size() < kBatchSize) {
-        batch.push_back(sources);
-        // Mixed-radix increment of the source tuple.
-        int i = 0;
-        for (; i < r; ++i) {
-          if (++sources[i] < n) break;
-          sources[i] = 0;
-        }
-        if (i == r) {
-          exhausted = true;
-          break;
-        }
-      }
-      const std::vector<const ReachSet*> reaches = ReachMany(
-          searcher_ptrs, batch, pool,
-          options.obs != nullptr ? options.obs->cancel_token() : nullptr,
-          shard);
-      for (size_t b = 0; b < batch.size(); ++b) {
-        ++reduction.source_tuples_enumerated;
-        // A slot is skipped or cut short only when the session's budget
-        // tripped mid-batch.
-        if (reaches[b] == nullptr || reaches[b]->aborted) {
-          return options.obs->ExhaustedStatus();
-        }
-        for (const std::vector<VertexId>& targets : reaches[b]->targets) {
-          for (int i = 0; i < r; ++i) {
-            row[2 * i] = batch[b][i];
-            row[2 * i + 1] = targets[i];
-          }
-          bool coincides = true;
-          for (int i = 0; i < 2 * r && coincides; ++i) {
-            if (same_as[i] >= 0 && row[i] != row[same_as[i]]) {
-              coincides = false;
-            }
-          }
-          if (!coincides) continue;
-          rel->Add(row);
-          obs::Add(shard, obs::CounterId::kTuplesMaterialized);
-        }
-      }
-      if (options.obs != nullptr && options.obs->CheckBudget()) {
-        return options.obs->ExhaustedStatus();
-      }
+    // All |V|^r source tuples — the O(|D|^{2 cc_vertex}) step — searched in
+    // bit-parallel sweeps of 64 tuples (graphdb/tuple_search.h).
+    ECRPQ_ASSIGN_OR_RAISE(
+        const std::vector<VertexId> rows,
+        TupleReachAll(db, *machine, same_as, options.num_threads,
+                      options.obs));
+    size_t source_tuples = 1;
+    for (int i = 0; i < r; ++i) source_tuples *= n;
+    reduction.source_tuples_enumerated += source_tuples;
+    ECRPQ_ASSIGN_OR_RAISE(Relation * rel,
+                          reduction.db->AddRelation(name, 2 * r));
+    for (size_t row = 0; row < rows.size(); row += 2 * r) {
+      rel->Add(std::span<const VertexId>(rows).subspan(row, 2 * r));
     }
-    for (const auto& searcher : searchers) {
-      reduction.product_states += searcher->TotalExploredStates();
-    }
-
     reduction.query.atoms.push_back(std::move(atom));
+    // TupleReachAll polls before each sweep; this poll sees what its last
+    // sweep charged.
+    if (options.obs != nullptr && options.obs->CheckBudget()) {
+      return options.obs->ExhaustedStatus();
+    }
   }
   reduction.db->FinalizeAll();
   return reduction;

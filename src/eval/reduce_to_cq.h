@@ -29,23 +29,23 @@ namespace ecrpq {
 struct CqReduction {
   std::unique_ptr<RelationalDb> db;
   CqQuery query;
-  // Diagnostics for experiment E7.
+  // Diagnostics for experiment E7: Σ_C |V|^r over the components.
   size_t source_tuples_enumerated = 0;
-  size_t product_states = 0;
 };
 
 struct ReduceOptions {
-  // Worker threads for the per-source-tuple searches of the leaf-relation
-  // materialization: 0 = ECRPQ_THREADS / hardware default, 1 = sequential.
+  // Worker threads for the sweeps that materialize each component relation
+  // (TupleReachAll): 0 = ECRPQ_THREADS / hardware default, 1 = sequential.
   // The materialized relations (and any budget error) are identical for
-  // every value: batches of source tuples are searched concurrently but
-  // merged in enumeration order.
+  // every value: sweeps run concurrently but their rows are concatenated
+  // in enumeration order.
   int num_threads = 0;
   // Observability & resource-governance session (common/obs.h). A tripped
   // budget turns into Status::ResourceExhausted; the partial StatsReport
   // stays readable via the session. Every materialized row is an accepting
-  // state some search interned, so the budget's product-state cap also
-  // bounds the relation sizes. Null = zero overhead.
+  // state some sweep discovered, so the budget's product-state cap also
+  // bounds the relation sizes. The budget is polled once per sweep of 64
+  // source tuples. Null = zero overhead.
   obs::Session* obs = nullptr;
 };
 

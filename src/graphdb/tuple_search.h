@@ -9,15 +9,22 @@
 //
 // Search space: (v̄, machine state, finished-mask). The mask enforces the
 // graph-side convolution discipline: a tape that has emitted ⊥ is frozen at
-// its current vertex. Reachable accepting target tuples from a given source
-// tuple are computed by BFS and memoized per source tuple. The state space
-// is |V|^r · |Q| · 2^r — exponential only in r (= cc_vertex), matching the
-// paper's upper bounds.
+// its current vertex. The machine state is the JoinMachine's dense id. The
+// state space is |V|^r · |Q| · 2^r — exponential only in r (= cc_vertex),
+// matching the paper's upper bounds.
+//
+// Two ways in:
+//  - TupleSearcher answers one source tuple at a time, memoized per tuple —
+//    the generic engine's lookups (Reach, Check) and witness paths;
+//  - TupleReachAll builds Lemma 4.3's whole component relation over all
+//    |V|^r source tuples in bit-parallel sweeps of 64 tuples, the r-tape
+//    form of RpqReachAll's multi-source BFS (graphdb/rpq_reach.h).
 #ifndef ECRPQ_GRAPHDB_TUPLE_SEARCH_H_
 #define ECRPQ_GRAPHDB_TUPLE_SEARCH_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,7 +32,6 @@
 #include "common/hash.h"
 #include "common/obs.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/rpq_reach.h"
 #include "synchro/join.h"
@@ -69,8 +75,8 @@ class TupleSearcher {
 
   // Full accepting-reachability from `sources`, memoized.
   //
-  // Ownership contract (ReachMany): a searcher belongs to exactly one
-  // worker at a time — the memo, scratch and diagnostic counters are
+  // Ownership contract: a searcher (and its machine) belongs to exactly
+  // one worker at a time — the memo, scratch and diagnostic counters are
   // single-owner state with no lock, encoded by owner_role_ below. The
   // coordinator may read diagnostics only after the pool has joined.
   const ReachSet& Reach(const std::vector<VertexId>& sources)
@@ -118,7 +124,7 @@ class TupleSearcher {
   // Dense-visited variant of the untargeted search: the
   // (vertex-tuple, finished-mask) part of the product state is coded into
   // `space` = |V|^r · 2^r dense ids and deduplicated with one DynamicBitset
-  // per (lazily interned) joint machine state, replacing the hash-set
+  // per joint machine id the search reaches, replacing the hash-set
   // bookkeeping of the sparse path in the BFS hot loop.
   ReachSet RunBfsDense(const std::vector<VertexId>& sources, uint64_t space)
       ECRPQ_REQUIRES(owner_role_);
@@ -131,7 +137,8 @@ class TupleSearcher {
   TupleSearchOptions options_;
   obs::MetricsShard* shard_;  // Null when no session attached.
   // Single-owner coordinator state: written only by the worker that owns
-  // this searcher (ReachMany's worker w owns searchers[w]); no lock.
+  // this searcher (the generic engine's worker w owns its engine's
+  // searchers); no lock.
   ExclusiveRole owner_role_;
   size_t total_explored_ ECRPQ_GUARDED_BY(owner_role_) = 0;
   std::unordered_map<std::vector<VertexId>, std::unique_ptr<ReachSet>,
@@ -140,23 +147,49 @@ class TupleSearcher {
   ReachSet unmemoized_scratch_ ECRPQ_GUARDED_BY(owner_role_);
 };
 
-// Evaluates Reach() for every tuple in `sources` across a thread pool.
-// `searchers` holds one searcher per worker (all wrapping the same database
-// and options but *distinct* JoinMachines — the machine's lazy
-// determinization caches are not shareable across threads). Tuples are
-// distributed through a work-stealing FrontierScheduler; slot i of the
-// result always holds the ReachSet of sources[i], so the output is
-// deterministic for any pool size. The
-// pointers alias the searchers' memo tables and stay valid while the
-// searchers live (memoization must be enabled).
+// Lemma 4.3's component relation R'_C over all |V|^r source tuples: every
+// (ū, v̄) with paths u_i → v_i whose labels `machine` accepts, as row-major
+// 2r-ary rows (u_1, v_1, ..., u_r, v_r), r = machine.joint_arity(). A row
+// is kept only when row[i] == row[same_as[i]] for each position i with
+// same_as[i] >= 0 (same_as has 2r entries, each -1 or a smaller position):
+// that is how coinciding endpoint variables are enforced inside R'_C. Rows
+// come in sweep order, not sorted; no row repeats.
 //
-// When `cancel` is non-null and fires, remaining slots are left as nullptr.
-// With a non-null `shard`, the scheduler's steal counters are recorded there
-// (scheduling-dependent — diagnostics, never compared across runs).
-std::vector<const ReachSet*> ReachMany(
-    const std::vector<TupleSearcher*>& searchers,
-    const std::vector<std::vector<VertexId>>& sources, ThreadPool* pool,
-    CancelToken* cancel = nullptr, obs::MetricsShard* shard = nullptr);
+// Source tuples are taken in mixed-radix order (u_1 fastest) and searched
+// in sweeps of up to 64 consecutive tuples: one level-synchronous BFS over
+// the product per sweep, in which each product state (v̄, finished-mask,
+// machine id) holds a 64-bit word of the sweep's tuples that reached it,
+// and a level ORs each frontier word along every successor column:
+// next |= word & ~seen. The states live in a hash table sized by what the
+// sweep reaches (not by |V|^r·2^r), keyed on the 64-bit code
+// ((v̄ << r | mask) << id_bits) | id, v̄ read as a base-|V| number; a
+// graph or machine whose codes would not fit gets CapacityExceeded, never
+// a wrapped key. The accepting fold ORs each target tuple's words across
+// masks and accepting ids before it emits a row, so each (ū, v̄) appears
+// once.
+//
+// Sweeps run on a FrontierScheduler over `num_threads` workers (0 =
+// ECRPQ_THREADS / hardware default; at most 1, or a single sweep, runs on
+// the caller's thread). Each worker works on its own copy of `machine` and
+// its own scratch, allocated on its first sweep and reset sparsely between
+// sweeps; rows are concatenated in sweep order, so the result is identical
+// for every pool size.
+//
+// With a non-null `obs` session: product_states_expanded is charged the
+// popcount of the new bits at each discovery (per relation, the sum of
+// what one search per source tuple would intern), visited_bytes the scratch
+// bytes each sweep's reached states take, tuples_materialized the rows
+// returned, one reach_set_size sample per source tuple (its accepting
+// target tuples, before same_as), one phase_bfs_ns sample per sweep and its
+// frontier_occupancy per level. CheckBudget() is polled before each
+// sweep; after a trip the remaining sweeps are skipped and the call returns
+// the session's ResourceExhausted. Totals that the last sweep itself
+// pushes over the budget show at the caller's next poll.
+Result<std::vector<VertexId>> TupleReachAll(const GraphDb& db,
+                                            const JoinMachine& machine,
+                                            std::span<const int> same_as,
+                                            int num_threads = 0,
+                                            obs::Session* obs = nullptr);
 
 }  // namespace ecrpq
 

@@ -7,6 +7,62 @@
 #include "common/check.h"
 
 namespace ecrpq {
+namespace {
+
+// Merges every bag that is a subset of a tree neighbour into that
+// neighbour, until no tree edge joins a bag to a superset of it. Merging
+// contracts the edge, and the merged bag is the neighbour's, so the
+// decomposition stays valid and its width is unchanged. Surviving bags keep
+// their relative order.
+void ContractSubsumedBags(TreeDecomposition* td) {
+  const int num_bags = static_cast<int>(td->bags.size());
+  std::vector<std::vector<int>> adj(num_bags);
+  for (const auto& [a, b] : td->edges) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  }
+  std::vector<bool> alive(num_bags, true);
+  auto subset_of = [td](int a, int b) {
+    return std::includes(td->bags[b].begin(), td->bags[b].end(),
+                         td->bags[a].begin(), td->bags[a].end());
+  };
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int b = 0; b < num_bags; ++b) {
+      if (!alive[b]) continue;
+      const auto into = std::find_if(adj[b].begin(), adj[b].end(),
+                                     [&](int c) { return subset_of(b, c); });
+      if (into == adj[b].end()) continue;
+      const int keep = *into;
+      std::erase(adj[keep], b);
+      for (const int c : adj[b]) {
+        if (c == keep) continue;
+        std::replace(adj[c].begin(), adj[c].end(), b, keep);
+        adj[keep].push_back(c);
+      }
+      adj[b].clear();
+      alive[b] = false;
+      changed = true;
+    }
+  }
+  std::vector<int> id(num_bags, -1);
+  std::vector<std::vector<int>> bags;
+  for (int b = 0; b < num_bags; ++b) {
+    if (!alive[b]) continue;
+    id[b] = static_cast<int>(bags.size());
+    bags.push_back(std::move(td->bags[b]));
+  }
+  td->edges.clear();
+  for (int b = 0; b < num_bags; ++b) {
+    for (const int c : adj[b]) {
+      if (b < c) td->edges.emplace_back(id[b], id[c]);
+    }
+  }
+  td->bags = std::move(bags);
+}
+
+}  // namespace
 
 int TreeDecomposition::Width() const {
   int width = -1;
@@ -230,6 +286,7 @@ TreeDecomposition DecompositionFromEliminationOrder(
       td.edges.emplace_back(roots[0], roots[i]);
     }
   }
+  ContractSubsumedBags(&td);
   ECRPQ_DCHECK_INVARIANT(td);
   return td;
 }

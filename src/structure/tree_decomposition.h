@@ -43,6 +43,16 @@ Status ValidateTreeDecomposition(const SimpleGraph& graph,
 // the bag {v} ∪ N(v) in the current fill-in graph, connected to the bag of
 // the first later-eliminated neighbor. `order` must be a permutation of the
 // vertices.
+//
+// The result is non-redundant: every bag that is a subset of a tree
+// neighbour is merged into that neighbour before returning, so no bag is a
+// subset of an adjacent one. A k-clique, which the elimination order leaves
+// as nested bags of k, k-1, ..., 1 vertices, becomes the one bag of k. The
+// merge contracts tree edges into the larger bag, so validity and width are
+// those of the per-vertex decomposition; bag ids follow elimination order
+// among the bags that remain. Evaluators pay per bag tuple (cq/eval_treedec,
+// cq/count), and a bag that holds no atom of its own ranges over the whole
+// domain, so the merged bags are pure saving.
 TreeDecomposition DecompositionFromEliminationOrder(
     const SimpleGraph& graph, const std::vector<int>& order);
 

@@ -208,13 +208,18 @@ int DegeneracyLowerBound(const SimpleGraph& graph) {
 }
 
 TreewidthResult TreewidthBest(const SimpleGraph& graph, int exact_threshold) {
+  TreewidthResult a = TreewidthMinFill(graph);
+  TreewidthResult b = TreewidthMinDegree(graph);
+  TreewidthResult best = a.width <= b.width ? std::move(a) : std::move(b);
+  if (best.width == DegeneracyLowerBound(graph)) {
+    best.exact = true;  // The upper bound meets the lower bound.
+    return best;
+  }
   if (graph.NumVertices() <= exact_threshold) {
     Result<TreewidthResult> exact = TreewidthExact(graph, exact_threshold);
     if (exact.ok()) return std::move(exact).ValueOrDie();
   }
-  TreewidthResult a = TreewidthMinFill(graph);
-  TreewidthResult b = TreewidthMinDegree(graph);
-  return a.width <= b.width ? a : b;
+  return best;
 }
 
 }  // namespace ecrpq

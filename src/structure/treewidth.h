@@ -31,8 +31,9 @@ Result<TreewidthResult> TreewidthExact(const SimpleGraph& graph,
 // Degeneracy of the graph — a lower bound on treewidth.
 int DegeneracyLowerBound(const SimpleGraph& graph);
 
-// Exact when n <= exact_threshold, otherwise the better of the two
-// heuristics. Never errors.
+// The better of the two heuristics, marked exact, when its width equals
+// DegeneracyLowerBound; otherwise the exact DP when n <= exact_threshold,
+// else the better heuristic. Never errors.
 TreewidthResult TreewidthBest(const SimpleGraph& graph,
                               int exact_threshold = 18);
 

@@ -100,49 +100,55 @@ uint32_t JoinMachine::MoveComponent(Lazy* lazy, uint32_t subset_id,
   return id;
 }
 
+JoinMachine::State JoinMachine::InternJoint(
+    const std::vector<uint32_t>& subset_ids) {
+  const auto [it, inserted] = joint_ids_.emplace(
+      subset_ids, static_cast<State>(joint_states_.size()));
+  if (inserted) {
+    bool dead = false;
+    bool accepting = true;
+    for (size_t c = 0; c < lazies_.size(); ++c) {
+      dead = dead || lazies_[c].subsets[subset_ids[c]].empty();
+      accepting = accepting && lazies_[c].subset_accepting[subset_ids[c]];
+    }
+    joint_states_.push_back(subset_ids);
+    dead_.push_back(dead);
+    accepting_.push_back(accepting);
+  }
+  return it->second;
+}
+
 JoinMachine::State JoinMachine::Initial() {
-  State state;
-  state.reserve(lazies_.size());
+  next_scratch_.clear();
   for (Lazy& lazy : lazies_) {
     std::vector<StateId> subset(lazy.relation->nfa().initial());
     lazy.relation->nfa().EpsilonClose(&subset);
-    state.push_back(InternSubset(&lazy, std::move(subset)));
+    next_scratch_.push_back(InternSubset(&lazy, std::move(subset)));
   }
-  return state;
+  return InternJoint(next_scratch_);
 }
 
-JoinMachine::State JoinMachine::Next(const State& state, Label joint_label) {
-  ECRPQ_DCHECK(state.size() == lazies_.size());
-  State next;
-  next.reserve(lazies_.size());
-  std::vector<TapeLetter> sub;
+JoinMachine::State JoinMachine::Next(State state, Label joint_label) {
+  ECRPQ_DCHECK(state < joint_states_.size());
+  const auto cached = steps_.find({state, joint_label});
+  if (cached != steps_.end()) return cached->second;
+  next_scratch_.clear();
   for (size_t c = 0; c < lazies_.size(); ++c) {
     Lazy& lazy = lazies_[c];
     const int k = lazy.relation->arity();
-    sub.assign(k, kBlank);
+    sub_scratch_.assign(k, kBlank);
     bool all_blank = true;
     for (int i = 0; i < k; ++i) {
-      sub[i] = pack_.Get(joint_label, lazy.tape_map[i]);
-      all_blank = all_blank && (sub[i] == kBlank);
+      sub_scratch_[i] = pack_.Get(joint_label, lazy.tape_map[i]);
+      all_blank = all_blank && (sub_scratch_[i] == kBlank);
     }
-    const Label sub_label = lazy.relation->pack().Pack(sub);
-    next.push_back(MoveComponent(&lazy, state[c], sub_label, all_blank));
+    const Label sub_label = lazy.relation->pack().Pack(sub_scratch_);
+    next_scratch_.push_back(MoveComponent(
+        &lazy, joint_states_[state][c], sub_label, all_blank));
   }
+  const State next = InternJoint(next_scratch_);
+  steps_.emplace(std::make_pair(state, joint_label), next);
   return next;
-}
-
-bool JoinMachine::IsDead(const State& state) const {
-  for (size_t c = 0; c < lazies_.size(); ++c) {
-    if (lazies_[c].subsets[state[c]].empty()) return true;
-  }
-  return false;
-}
-
-bool JoinMachine::IsAccepting(const State& state) const {
-  for (size_t c = 0; c < lazies_.size(); ++c) {
-    if (!lazies_[c].subset_accepting[state[c]]) return false;
-  }
-  return !lazies_.empty() || true;
 }
 
 size_t JoinMachine::NumInternedSubsets() const {

@@ -3,6 +3,9 @@
 #include "common/rng.h"
 #include "cq/eval_backtrack.h"
 #include "cq/eval_treedec.h"
+#include "eval/reduce_to_cq.h"
+#include "graphdb/generators.h"
+#include "query/parser.h"
 
 namespace ecrpq {
 namespace {
@@ -133,6 +136,39 @@ TEST(CqTreeDecTest, StatsReportWidth) {
   EXPECT_TRUE(r->satisfiable);
   EXPECT_LE(stats.width_used, 2);
   EXPECT_GT(stats.bag_tuples_materialized, 0u);
+}
+
+// A Lemma 4.3 reduction's CQ has one 2r-clique atom per component. Its
+// decomposition keeps exactly those cliques as bags (the nested bags an
+// elimination order leaves inside a clique are merged away), so the bag
+// tuples materialized are the relations' rows and nothing else.
+TEST(CqTreeDecTest, LemmaFourThreeBagsAreTheRelations) {
+  Rng rng(5);
+  const GraphDb graph = RandomGraph(&rng, 12, 2.0, 2);
+  const Alphabet ab = Alphabet::OfChars("ab");
+  for (const char* text :
+       {"q(x) := x -[p1]-> y, x -[p2]-> z, eqlen(p1, p2)",
+        "q(x, w) := x -[p1]-> y, y -[p2]-> w, eqlen(p1, p2)",
+        "q(x) := x -[p1]-> y, x -[p2]-> z, eqlen(p1, p2), "
+        "y -[p3]-> u, u -[p4]-> v, prefix(p3, p4)"}) {
+    SCOPED_TRACE(text);
+    Result<EcrpqQuery> query = ParseEcrpq(text, ab);
+    ASSERT_TRUE(query.ok()) << query.status();
+    ReduceOptions reduce_options;
+    reduce_options.num_threads = 1;
+    Result<CqReduction> reduction = ReduceToCq(graph, *query, reduce_options);
+    ASSERT_TRUE(reduction.ok()) << reduction.status();
+    size_t rows = 0;
+    for (const CqAtom& atom : reduction->query.atoms) {
+      rows += reduction->db->Find(atom.relation)->NumTuples();
+    }
+    ASSERT_GT(rows, 0u);
+    TreeDecEvalStats stats;
+    Result<CqEvalResult> r =
+        CqEvaluateTreeDec(*reduction->db, reduction->query, {}, &stats);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(stats.bag_tuples_materialized, rows);
+  }
 }
 
 // Differential: backtracking vs tree-decomposition on random CQs.

@@ -367,57 +367,5 @@ TEST(ParallelDeterminismTest, DenseAndSparseAgreeOnBudgetAbort) {
   EXPECT_EQ(explored[0], explored[1]);
 }
 
-TEST(ParallelDeterminismTest, ReachManyMatchesSequentialReach) {
-  Rng rng(5);
-  const GraphDb db = RandomGraph(&rng, 8, 2.0, 2);
-  const EcrpqQuery q = EqLenStarQuery(kAb, 2).ValueOrDie();
-  const std::vector<ComponentPlan> plans = PlanComponents(q);
-  ASSERT_FALSE(plans.empty());
-  const int r = static_cast<int>(plans[0].paths.size());
-
-  std::vector<std::vector<VertexId>> sources;
-  const VertexId n = static_cast<VertexId>(db.NumVertices());
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = 0; v < n; ++v) {
-      sources.push_back({u, v});
-    }
-  }
-  ASSERT_EQ(r, 2);
-
-  // Reference: one searcher, no pool.
-  Result<JoinMachine> ref_machine =
-      JoinMachine::Create(q.alphabet(), plans[0].machine_components, r);
-  ASSERT_TRUE(ref_machine.ok());
-  Result<TupleSearcher> ref =
-      TupleSearcher::Create(&db, &*ref_machine, TupleSearchOptions{});
-  ASSERT_TRUE(ref.ok());
-
-  // Pool of 3 workers, one searcher each.
-  db.Finalize();
-  std::vector<JoinMachine> machines;
-  std::vector<TupleSearcher> searchers;
-  machines.reserve(3);
-  searchers.reserve(3);
-  std::vector<TupleSearcher*> ptrs;
-  for (int w = 0; w < 3; ++w) {
-    machines.push_back(
-        JoinMachine::Create(q.alphabet(), plans[0].machine_components, r)
-            .ValueOrDie());
-    searchers.push_back(
-        TupleSearcher::Create(&db, &machines.back(), TupleSearchOptions{})
-            .ValueOrDie());
-    ptrs.push_back(&searchers.back());
-  }
-  ThreadPool pool(3);
-  const std::vector<const ReachSet*> results =
-      ReachMany(ptrs, sources, &pool);
-  ASSERT_EQ(results.size(), sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    ASSERT_NE(results[i], nullptr) << "slot " << i;
-    EXPECT_EQ(results[i]->targets, ref->Reach(sources[i]).targets)
-        << "slot " << i;
-  }
-}
-
 }  // namespace
 }  // namespace ecrpq

@@ -108,6 +108,36 @@ TEST_P(JoinAgreementTest, LazyMachineAgreesWithMaterializedJoin) {
   }
 }
 
+// Machine ids with a step cache must walk like the uncached subset steps:
+// a walk on a machine that has already cached every step it takes accepts
+// exactly what the same walk accepts on a fresh machine, for every word.
+TEST(JoinMachineTest, CachedStepsMatchUncachedWalks) {
+  const SyncRelation eqlen = Make(EqualLengthRelation(kAb, 2));
+  const SyncRelation prefix = Make(PrefixRelation(kAb));
+  const std::vector<JoinMachine::Component> components = {
+      {&eqlen, {0, 1}}, {&prefix, {1, 2}}};
+  Result<JoinMachine> warm = JoinMachine::Create(kAb, components, 3);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  Rng rng(11);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Word> tuple;
+    const Word base = RandomWordOf(&rng, 4, 2);
+    for (int t = 0; t < 3; ++t) {
+      tuple.push_back(rng.Chance(0.5) ? base : RandomWordOf(&rng, 4, 2));
+    }
+    Result<JoinMachine> fresh = JoinMachine::Create(kAb, components, 3);
+    ASSERT_TRUE(fresh.ok());
+    const bool uncached = MachineAccepts(&*fresh, tuple);
+    ASSERT_EQ(MachineAccepts(&*warm, tuple), uncached) << "word " << i;
+    // Re-walking the same word is served from the cache: no new state.
+    const size_t states_after_first = warm->NumStates();
+    ASSERT_EQ(MachineAccepts(&*warm, tuple), uncached) << "word " << i;
+    EXPECT_EQ(warm->NumStates(), states_after_first);
+  }
+  // Ids are dense and stable: Initial() is always the first one issued.
+  EXPECT_EQ(warm->Initial(), JoinMachine::State{0});
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinAgreementTest,
                          ::testing::Range<uint64_t>(0, 25));
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "structure/tree_decomposition.h"
 #include "structure/treewidth.h"
@@ -80,17 +83,63 @@ TEST(TreewidthHeuristicTest, ExactOnEasyFamilies) {
   EXPECT_EQ(TreewidthMinDegree(CycleGraphSimple(10)).width, 2);
 }
 
+// Valid, as wide as the elimination order says, and non-redundant: no bag
+// is a subset of a tree neighbour.
+void ExpectValidNonRedundant(const SimpleGraph& g,
+                             const TreewidthResult& tw) {
+  const TreeDecomposition td =
+      DecompositionFromEliminationOrder(g, tw.elimination_order);
+  const Status valid = ValidateTreeDecomposition(g, td);
+  EXPECT_TRUE(valid.ok()) << valid;
+  EXPECT_EQ(td.Width(), tw.width);
+  for (const auto& [a, b] : td.edges) {
+    const std::vector<int>& x = td.bags[a];
+    const std::vector<int>& y = td.bags[b];
+    EXPECT_FALSE(std::includes(y.begin(), y.end(), x.begin(), x.end()))
+        << "bag " << a << " is a subset of its neighbour " << b;
+    EXPECT_FALSE(std::includes(x.begin(), x.end(), y.begin(), y.end()))
+        << "bag " << b << " is a subset of its neighbour " << a;
+  }
+}
+
 TEST(TreeDecompositionTest, FromEliminationOrderIsValid) {
   Rng rng(2);
+  std::vector<SimpleGraph> graphs;
   for (int trial = 0; trial < 20; ++trial) {
-    const SimpleGraph g = RandomSimpleGraph(&rng, 10, 0.25);
-    const TreewidthResult tw = TreewidthMinFill(g);
-    const TreeDecomposition td =
-        DecompositionFromEliminationOrder(g, tw.elimination_order);
-    const Status valid = ValidateTreeDecomposition(g, td);
-    EXPECT_TRUE(valid.ok()) << valid;
-    EXPECT_EQ(td.Width(), tw.width);
+    graphs.push_back(RandomSimpleGraph(&rng, 10, 0.25));
   }
+  graphs.push_back(CompleteGraph(1));
+  graphs.push_back(CompleteGraph(4));
+  graphs.push_back(CompleteGraph(7));
+  graphs.push_back(CycleGraphSimple(3));
+  graphs.push_back(CycleGraphSimple(9));
+  graphs.push_back(GridGraphSimple(3, 3));
+  graphs.push_back(GridGraphSimple(4, 5));
+  SimpleGraph disconnected(9);  // A triangle, an edge, a path, and a loner.
+  disconnected.AddEdge(0, 1);
+  disconnected.AddEdge(1, 2);
+  disconnected.AddEdge(2, 0);
+  disconnected.AddEdge(3, 4);
+  disconnected.AddEdge(5, 6);
+  disconnected.AddEdge(6, 7);
+  graphs.push_back(disconnected);
+  graphs.push_back(SimpleGraph(5));  // No edges at all.
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    ExpectValidNonRedundant(graphs[i], TreewidthMinFill(graphs[i]));
+    ExpectValidNonRedundant(graphs[i], TreewidthMinDegree(graphs[i]));
+  }
+}
+
+TEST(TreeDecompositionTest, CliqueIsOneBag) {
+  // Elimination leaves nested bags of 4, 3, 2 and 1 vertices; all but the
+  // first are subsets of a neighbour.
+  const SimpleGraph g = CompleteGraph(4);
+  const TreeDecomposition td =
+      DecompositionFromEliminationOrder(g, {0, 1, 2, 3});
+  ASSERT_EQ(td.bags.size(), 1u);
+  EXPECT_EQ(td.bags[0], (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(td.edges.empty());
 }
 
 TEST(TreeDecompositionTest, ExactOrderYieldsExactWidthDecomposition) {
@@ -137,9 +186,25 @@ TEST(TreewidthBestTest, PicksExactWhenSmall) {
   const TreewidthResult r = TreewidthBest(CycleGraphSimple(10));
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.width, 2);
-  const TreewidthResult big = TreewidthBest(PathGraphSimple(40));
+  // 25 vertices, beyond the DP's threshold, and the bounds differ
+  // (degeneracy 2, treewidth 5): the result is a heuristic upper bound.
+  const TreewidthResult big = TreewidthBest(GridGraphSimple(5, 5));
   EXPECT_FALSE(big.exact);
-  EXPECT_EQ(big.width, 1);  // Heuristics still nail paths.
+  EXPECT_GE(big.width, 5);
+}
+
+TEST(TreewidthBestTest, MeetingBoundsSkipTheExactDp) {
+  // Paths: min-fill width 1 = degeneracy 1, proven exact at any size.
+  const TreewidthResult path = TreewidthBest(PathGraphSimple(40));
+  EXPECT_TRUE(path.exact);
+  EXPECT_EQ(path.width, 1);
+  // The 3x3 grid has degeneracy 2 but treewidth 3: the bounds differ, so
+  // the exact DP still runs and proves 3.
+  const SimpleGraph grid = GridGraphSimple(3, 3);
+  EXPECT_EQ(DegeneracyLowerBound(grid), 2);
+  const TreewidthResult exact = TreewidthBest(grid);
+  EXPECT_TRUE(exact.exact);
+  EXPECT_EQ(exact.width, 3);
 }
 
 }  // namespace

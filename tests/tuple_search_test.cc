@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "automata/regex.h"
 #include "common/obs.h"
 #include "common/rng.h"
 #include "graphdb/generators.h"
@@ -150,6 +153,145 @@ TEST(TupleSearchTest, PrefixAcrossTwoTapes) {
   EXPECT_TRUE(searcher->Check({0, 0}, {2, 3}));
   EXPECT_TRUE(searcher->Check({0, 0}, {2, 2}));
   EXPECT_FALSE(searcher->Check({0, 0}, {3, 2}));
+}
+
+// Rows of a row-major relation of `arity`, sorted, for set comparison.
+std::vector<std::vector<VertexId>> SortedRows(
+    const std::vector<VertexId>& flat, int arity) {
+  std::vector<std::vector<VertexId>> rows;
+  for (size_t i = 0; i < flat.size(); i += arity) {
+    rows.emplace_back(flat.begin() + i, flat.begin() + i + arity);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// TupleReachAll against one TupleSearcher::Reach per source tuple, at sweep
+// boundaries: |V|^r below, at and above one 64-tuple sweep and over several
+// sweeps, with and without a coinciding endpoint position, at pool sizes
+// 1, 2 and 4. Rows, tuples_materialized and product_states_expanded must
+// equal the per-tuple oracle's.
+TEST(TupleSearchTest, SweepBoundariesMatchPerTupleReach) {
+  const Alphabet ab = Alphabet::OfChars("ab");
+  Alphabet lang_alphabet = ab;
+  Result<Nfa> lang = CompileRegex("a(a|b)*", &lang_alphabet);
+  ASSERT_TRUE(lang.ok()) << lang.status();
+  const SyncRelation starts_with_a = Make(FromLanguage(ab, *lang));
+  const SyncRelation eqlen = Make(EqualLengthRelation(ab, 2));
+  const SyncRelation prefix = Make(PrefixRelation(ab));
+  struct Case {
+    int r;
+    std::vector<JoinMachine::Component> components;
+    std::vector<int> num_vertices;  // |V|^r: 1, 63, 64, 65, several sweeps.
+  };
+  const std::vector<Case> cases = {
+      {1, {{&starts_with_a, {0}}}, {1, 63, 64, 65, 130}},
+      {2, {{&eqlen, {0, 1}}}, {1, 8, 9, 12}},
+      {3, {{&eqlen, {0, 1}}, {&prefix, {1, 2}}}, {1, 4, 5}},
+  };
+  Rng rng(17);
+  for (const Case& c : cases) {
+    for (const int n : c.num_vertices) {
+      const GraphDb db = RandomGraph(&rng, n, 1.5, 2);
+      Result<JoinMachine> machine =
+          JoinMachine::Create(ab, c.components, c.r);
+      ASSERT_TRUE(machine.ok()) << machine.status();
+      // Plain rows, and rows whose second source equals the first (the
+      // template of a query that starts two paths at one variable).
+      std::vector<std::vector<int>> same_as_cases = {
+          std::vector<int>(2 * c.r, -1)};
+      if (c.r >= 2) {
+        same_as_cases.push_back(std::vector<int>(2 * c.r, -1));
+        same_as_cases.back()[2] = 0;
+      }
+      for (const std::vector<int>& same_as : same_as_cases) {
+        SCOPED_TRACE("r=" + std::to_string(c.r) + " |V|=" +
+                     std::to_string(n) + " same_as[2]=" +
+                     std::to_string(c.r >= 2 ? same_as[2] : -1));
+        // Oracle: one search per source tuple, in mixed-radix order.
+        Result<JoinMachine> oracle_machine =
+            JoinMachine::Create(ab, c.components, c.r);
+        ASSERT_TRUE(oracle_machine.ok());
+        Result<TupleSearcher> oracle =
+            TupleSearcher::Create(&db, &*oracle_machine);
+        ASSERT_TRUE(oracle.ok());
+        std::vector<VertexId> expected;
+        std::vector<VertexId> sources(c.r, 0);
+        std::vector<VertexId> row(2 * c.r);
+        for (bool more = true; more;) {
+          for (const std::vector<VertexId>& targets :
+               oracle->Reach(sources).targets) {
+            for (int i = 0; i < c.r; ++i) {
+              row[2 * i] = sources[i];
+              row[2 * i + 1] = targets[i];
+            }
+            bool keep = true;
+            for (int i = 0; i < 2 * c.r; ++i) {
+              keep = keep && (same_as[i] < 0 || row[i] == row[same_as[i]]);
+            }
+            if (keep) expected.insert(expected.end(), row.begin(), row.end());
+          }
+          int i = 0;
+          for (; i < c.r; ++i) {
+            if (++sources[i] < static_cast<VertexId>(n)) break;
+            sources[i] = 0;
+          }
+          more = i < c.r;
+        }
+        const auto expected_rows = SortedRows(expected, 2 * c.r);
+
+        std::vector<VertexId> first_rows;
+        for (const int threads : {1, 2, 4}) {
+          obs::Session session;
+          Result<std::vector<VertexId>> rows =
+              TupleReachAll(db, *machine, same_as, threads, &session);
+          ASSERT_TRUE(rows.ok()) << rows.status();
+          EXPECT_EQ(SortedRows(*rows, 2 * c.r), expected_rows)
+              << "threads " << threads;
+          if (threads == 1) first_rows = *rows;
+          EXPECT_EQ(*rows, first_rows) << "threads " << threads;
+          const obs::StatsReport report = session.Report();
+          EXPECT_EQ(report[obs::CounterId::kTuplesMaterialized],
+                    expected_rows.size())
+              << "threads " << threads;
+          EXPECT_EQ(report[obs::CounterId::kProductStatesExpanded],
+                    oracle->TotalExploredStates())
+              << "threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(TupleSearchTest, SweepRejectsMalformedSameAs) {
+  const GraphDb db = CycleGraph(3, "a");
+  Result<JoinMachine> machine = JoinMachine::Create(db.alphabet(), {}, 1);
+  ASSERT_TRUE(machine.ok());
+  EXPECT_FALSE(TupleReachAll(db, *machine, std::vector<int>{-1}).ok());
+  EXPECT_FALSE(TupleReachAll(db, *machine, std::vector<int>{-1, 1}).ok());
+  EXPECT_TRUE(TupleReachAll(db, *machine, std::vector<int>{-1, 0}).ok());
+}
+
+TEST(TupleSearchTest, SweepBudgetTripReturnsResourceExhausted) {
+  // 40^2 = 1600 source tuples are 25 sweeps; a 3-state cap trips at the
+  // second sweep's poll.
+  Rng rng(3);
+  const GraphDb db = RandomGraph(&rng, 40, 3.0, 2);
+  const SyncRelation eqlen = Make(EqualLengthRelation(db.alphabet(), 2));
+  Result<JoinMachine> machine =
+      JoinMachine::Create(db.alphabet(), {{&eqlen, {0, 1}}}, 2);
+  ASSERT_TRUE(machine.ok());
+  for (const int threads : {1, 4}) {
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 3;
+    session.SetBudget(budget);
+    Result<std::vector<VertexId>> rows = TupleReachAll(
+        db, *machine, std::vector<int>(4, -1), threads, &session);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
+  }
 }
 
 }  // namespace
