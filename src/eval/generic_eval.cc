@@ -212,16 +212,18 @@ struct Engine {
     }
     const ReachSet& reach = searchers[comp]->Reach(sources);
     if (reach.aborted) return;  // The budget tripped: Stopped() from here.
-    for (const std::vector<VertexId>& targets : reach.targets) {
+    // Target tuples in the searcher's sorted order, r ids each.
+    const size_t r = plan.paths.size();
+    for (size_t t = 0; t < reach.targets.size(); t += r) {
       obs::Add(shard, obs::CounterId::kAssignmentsTried);
       std::vector<NodeVarId> newly;
       bool consistent = true;
-      for (size_t i = 0; i < plan.paths.size() && consistent; ++i) {
+      for (size_t i = 0; i < r && consistent; ++i) {
         const NodeVarId tv = plan.targets[i];
         if (assignment[tv] == kUnset) {
-          assignment[tv] = targets[i];
+          assignment[tv] = reach.targets[t + i];
           newly.push_back(tv);
-        } else if (assignment[tv] != targets[i]) {
+        } else if (assignment[tv] != reach.targets[t + i]) {
           consistent = false;
         }
       }

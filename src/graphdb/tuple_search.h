@@ -13,20 +13,26 @@
 // state space is |V|^r · |Q| · 2^r — exponential only in r (= cc_vertex),
 // matching the paper's upper bounds.
 //
-// Two ways in:
-//  - TupleSearcher answers one source tuple at a time, memoized per tuple —
-//    the generic engine's lookups (Reach, Check) and witness paths;
+// One kernel, two ways in. TupleSweep (tuple_search.cc) is the only
+// untargeted product search: a level-synchronous BFS in which each product
+// state holds a word of the source tuples that reached it.
 //  - TupleReachAll builds Lemma 4.3's whole component relation over all
-//    |V|^r source tuples in bit-parallel sweeps of 64 tuples, the r-tape
-//    form of RpqReachAll's multi-source BFS (graphdb/rpq_reach.h).
+//    |V|^r source tuples in sweeps of 64 tuples, the r-tape form of
+//    RpqReachAll's multi-source BFS (graphdb/rpq_reach.h);
+//  - TupleSearcher::Reach is the one-tuple sweep, memoized per source
+//    tuple — the generic engine's lookups — the way RpqReachFrom is the
+//    one-source case of RpqReachAll.
+// The sparse search (hash-interned states with parent pointers) remains
+// for witness paths, and for Reach on inputs whose (tuple, mask) code
+// needs more than 32 bits.
 #ifndef ECRPQ_GRAPHDB_TUPLE_SEARCH_H_
 #define ECRPQ_GRAPHDB_TUPLE_SEARCH_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/hash.h"
@@ -42,22 +48,21 @@ struct TupleSearchOptions {
   // Recompute every Reach() call instead of memoizing per source tuple —
   // ablation hook for experiment X2.
   bool disable_memo = false;
-  // Force the sparse (hash-interned) visited set even when the
-  // (vertex-tuple, finished-mask) space is dense enough for bitsets —
-  // ablation/differential-testing hook.
-  bool disable_dense_visited = false;
   // Observability & resource-governance session (common/obs.h). When set,
   // the searcher counts product states, frontier peaks, memo traffic and
   // visited-set bytes into its own metrics shard and polls the session's
-  // budget at a coarse stride inside the BFS loops; a tripped budget marks
-  // the ReachSet aborted so callers unwind. Null = zero overhead and no
-  // limit.
+  // budget every 1024 expanded states inside a search; a tripped budget
+  // marks the ReachSet aborted so callers unwind. Null = zero overhead and
+  // no limit.
   obs::Session* obs = nullptr;
 };
 
-// The set of accepting target tuples reachable from one source tuple.
+// The accepting target tuples reachable from one source tuple.
 struct ReachSet {
-  std::unordered_set<std::vector<VertexId>, VectorHash<VertexId>> targets;
+  // Row-major, arity() ids per target tuple, without duplicates, in
+  // target-code order: v̄ read as a base-|V| number with v_1 the least
+  // significant digit, so the last tape's vertex varies slowest.
+  std::vector<VertexId> targets;
   size_t explored_states = 0;
   // The session's budget tripped mid-search: `targets` is partial.
   bool aborted = false;
@@ -67,8 +72,13 @@ class TupleSearcher {
  public:
   // The machine's alphabet must be id-compatible with the database's (see
   // AlphabetsCompatible). The database and machine must outlive the searcher.
+  // The database must not change while the searcher lives.
   static Result<TupleSearcher> Create(const GraphDb* db, JoinMachine* machine,
                                       TupleSearchOptions options = {});
+
+  TupleSearcher(TupleSearcher&&) noexcept;
+  TupleSearcher& operator=(TupleSearcher&&) noexcept;
+  ~TupleSearcher();
 
   int arity() const { return machine_->joint_arity(); }
   const TupleSearchOptions& options() const { return options_; }
@@ -88,7 +98,7 @@ class TupleSearcher {
       ECRPQ_ASSERT_EXCLUSIVE(owner_role_);
 
   // Witness paths (one per tape) for a satisfying tuple, or nullopt. Runs a
-  // fresh BFS with parent tracking.
+  // fresh sparse search with parent tracking.
   std::optional<std::vector<std::vector<PathStep>>> WitnessPaths(
       const std::vector<VertexId>& sources,
       const std::vector<VertexId>& targets)
@@ -107,30 +117,25 @@ class TupleSearcher {
   }
 
  private:
+  // The one-tuple sweep's coding and buffers (tuple_search.cc).
+  struct Sweep;
+
   TupleSearcher(const GraphDb* db, JoinMachine* machine,
-                TupleSearchOptions options)
-      : db_(db),
-        machine_(machine),
-        options_(options),
-        shard_(options.obs != nullptr
-                   ? options.obs->metrics().AcquireShard()
-                   : nullptr) {}
+                TupleSearchOptions options, std::unique_ptr<Sweep> sweep);
 
-  ReachSet RunBfs(const std::vector<VertexId>& sources,
-                  const std::vector<VertexId>* stop_at_target,
-                  std::optional<std::vector<std::vector<PathStep>>>*
-                      witness_out) ECRPQ_REQUIRES(owner_role_);
-
-  // Dense-visited variant of the untargeted search: the
-  // (vertex-tuple, finished-mask) part of the product state is coded into
-  // `space` = |V|^r · 2^r dense ids and deduplicated with one DynamicBitset
-  // per joint machine id the search reaches, replacing the hash-set
-  // bookkeeping of the sparse path in the BFS hot loop.
-  ReachSet RunBfsDense(const std::vector<VertexId>& sources, uint64_t space)
+  // One fresh untargeted search: the one-tuple sweep, or the sparse search
+  // when sweep_ is null.
+  ReachSet Search(const std::vector<VertexId>& sources)
       ECRPQ_REQUIRES(owner_role_);
 
-  // True when the dense coding fits the per-machine-state bit budget.
-  bool DenseFeasible(uint64_t* space_out) const;
+  // The sparse search over hash-interned product states. With
+  // `witness_target` set it stops at the first accepting state on that
+  // target tuple and writes the paths to it into *witness_out; the
+  // returned ReachSet then is partial and unread.
+  ReachSet SparseSearch(const std::vector<VertexId>& sources,
+                        const std::vector<VertexId>* witness_target,
+                        std::optional<std::vector<std::vector<PathStep>>>*
+                            witness_out) ECRPQ_REQUIRES(owner_role_);
 
   const GraphDb* db_;
   JoinMachine* machine_;
@@ -145,6 +150,9 @@ class TupleSearcher {
                      VectorHash<VertexId>>
       memo_ ECRPQ_GUARDED_BY(owner_role_);
   ReachSet unmemoized_scratch_ ECRPQ_GUARDED_BY(owner_role_);
+  // Null when r + bit_width(|V|^r − 1) exceeds 32; Reach then runs the
+  // sparse search.
+  std::unique_ptr<Sweep> sweep_ ECRPQ_GUARDED_BY(owner_role_);
 };
 
 // Lemma 4.3's component relation R'_C over all |V|^r source tuples: every
@@ -181,10 +189,11 @@ class TupleSearcher {
 // bytes each sweep's reached states take, tuples_materialized the rows
 // returned, one reach_set_size sample per source tuple (its accepting
 // target tuples, before same_as), one phase_bfs_ns sample per sweep and its
-// frontier_occupancy per level. CheckBudget() is polled before each
-// sweep; after a trip the remaining sweeps are skipped and the call returns
-// the session's ResourceExhausted. Totals that the last sweep itself
-// pushes over the budget show at the caller's next poll.
+// frontier_occupancy per level. CheckBudget() is polled before each sweep
+// and every 1024 expanded states inside one, and once more at the end;
+// after a trip the remaining sweeps are skipped and the call returns the
+// session's ResourceExhausted, so rows come back only when every total is
+// within the budget.
 Result<std::vector<VertexId>> TupleReachAll(const GraphDb& db,
                                             const JoinMachine& machine,
                                             std::span<const int> same_as,

@@ -154,11 +154,12 @@ TEST_P(DifferentialSuite, ObsOnOffAgreesWithOracle) {
       EXPECT_GT(report[obs::CounterId::kReachQueries], 0u)
           << "seed " << GetParam() << " threads " << threads;
       // Histograms are always on with a session attached; a run that
-      // issued reach queries sampled BFS phase times and frontier sizes —
-      // and recording them must not have perturbed the answers above.
+      // issued reach queries sampled sweep phase times and per-level
+      // frontier occupancy — and recording them must not have perturbed
+      // the answers above.
       EXPECT_FALSE(report.hist(obs::HistogramId::kPhaseBfsNs).Empty())
           << "seed " << GetParam() << " threads " << threads;
-      EXPECT_FALSE(report.hist(obs::HistogramId::kFrontierSize).Empty())
+      EXPECT_FALSE(report.hist(obs::HistogramId::kFrontierOccupancy).Empty())
           << "seed " << GetParam() << " threads " << threads;
     }
     EXPECT_GT(session.trace()->NumEvents(), 0u);

@@ -457,11 +457,11 @@ TEST(ObsHistogramTest, EvaluationPopulatesHistograms) {
   ASSERT_TRUE(result.ok()) << result.status();
 
   const obs::StatsReport report = session.Report();
-  EXPECT_FALSE(report.hist(HistogramId::kFrontierSize).Empty());
+  EXPECT_FALSE(report.hist(HistogramId::kFrontierOccupancy).Empty());
   EXPECT_FALSE(report.hist(HistogramId::kPhaseBfsNs).Empty());
   EXPECT_FALSE(report.hist(HistogramId::kPhaseNfaBuildNs).Empty());
-  // Every BFS pop saw a non-empty queue, so frontier sizes are >= 1.
-  EXPECT_EQ(report.hist(HistogramId::kFrontierSize).buckets[0], 0u);
+  // Every sweep level expanded at least one state, so occupancies are >= 1.
+  EXPECT_EQ(report.hist(HistogramId::kFrontierOccupancy).buckets[0], 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -124,6 +124,19 @@ for engine in auto crpq cq adaptive; do
   eval_answers "$engine" "$CRPQ_QUERY" \
     | diff "$OBS_TMP/answers-generic-crpq.out" -
 done
+# A cc_vertex-3 ECRPQ whose language atom leaves 64 of the 4096 (x, y)
+# pairs: auto routes it to the generic engine, whose per-tuple sweeps must
+# give the cq route's answers (TupleReachAll's sweeps) at every pool size
+# and with the caches bypassed.
+CC3_QUERY='q(x, y) := x -[p1]-> y, x -[p2]-> z, x -[p3]-> w, eqlen(p1, p2, p3), lang(/aaa/, p1)'
+ECRPQ_THREADS=1 eval_answers generic "$CC3_QUERY" \
+  > "$OBS_TMP/answers-generic-cc3.out"
+ECRPQ_THREADS=4 eval_answers generic "$CC3_QUERY" \
+  | diff "$OBS_TMP/answers-generic-cc3.out" -
+build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$CC3_QUERY" \
+  --engine=generic --no-cache | sed -n '/^satisfiable:/,$p' \
+  | diff "$OBS_TMP/answers-generic-cc3.out" -
+eval_answers cq "$CC3_QUERY" | diff "$OBS_TMP/answers-generic-cc3.out" -
 # A starved budget: eval must exit 3 (ResourceExhausted) and still print
 # the partial stats report. --engine=cq checks the budget after every
 # materialization batch, so a 1-state budget trips deterministically.
