@@ -16,9 +16,13 @@ void BM_ReduceCcv1(benchmark::State& state) {
   const GraphDb db = CycleGraph(n, "ab");
   const EcrpqQuery query =
       ParseEcrpq("q() := x -[/a(a|b)*/]-> y", db.alphabet()).ValueOrDie();
+  // Every iteration builds R_L: with the reach memo on, all but the first
+  // would read it from the memo.
+  EvalOptions options;
+  options.disable_cache = true;
   size_t tuples = 0;
   for (auto _ : state) {
-    CqReduction reduction = ReduceToCq(db, query).ValueOrDie();
+    CqReduction reduction = ReduceToCq(db, query, options).ValueOrDie();
     tuples = reduction.db->TotalTuples();
     benchmark::DoNotOptimize(reduction);
   }

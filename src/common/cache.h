@@ -74,14 +74,24 @@ class ShardedLruCache {
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
 
+  // Every cached value is acceptable to a plain Lookup.
+  struct AcceptAny {
+    bool operator()(const Value&) const { return true; }
+  };
+
   // Returns the cached value and refreshes its LRU position, or nullopt.
+  // A value `accept` rejects (say, a snapshot of an older version of what
+  // the key names) counts as a miss and is left where it is, for the
+  // caller's next Insert to replace.
+  template <typename Accept = AcceptAny>
   std::optional<Value> Lookup(const Key& key,
-                              obs::MetricsShard* obs_shard = nullptr) {
+                              obs::MetricsShard* obs_shard = nullptr,
+                              const Accept& accept = {}) {
     obs::ScopedTimer timer(obs_shard, obs::HistogramId::kCacheLookupNs);
     Shard& shard = ShardFor(key);
     MutexLock lock(shard.mutex);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    if (it == shard.index.end() || !accept(it->second->value)) {
       RecordMiss(obs_shard);
       return std::nullopt;
     }

@@ -8,36 +8,21 @@
 #include <vector>
 
 #include "common/result.h"
-#include "cq/cq.h"
-#include "cq/relational_db.h"
 #include "eval/generic_eval.h"
 #include "graphdb/graph_db.h"
 #include "query/ast.h"
 
 namespace ecrpq::internal {
 
-// CRPQ fast path (Corollary 2.4): each atom x -L-> y becomes the binary
-// reachability relation R_L, built by product BFS (graphdb/rpq_reach.h), and
-// the query becomes a CQ whose Gaifman graph is the CRPQ abstraction.
-// InvalidArgument if !query.IsCrpq(). Unless options.disable_cache, atom
-// languages are interned (automata/interner.h) and reach sets served from
-// the global reach memo (graphdb/reach_memo.h).
-Result<EvalResult> EvaluateCrpq(const GraphDb& db, const EcrpqQuery& query,
-                                const EvalOptions& options);
-
-// Lemma 4.3: ReduceToCq (eval/reduce_to_cq.h), then the tree-decomposition
-// CQ engine (use_treedec) or the backtracking one.
+// Lemma 4.3 — and, for a CRPQ, Corollary 2.4: ReduceToCq
+// (eval/reduce_to_cq.h), then the tree-decomposition CQ engine
+// (use_treedec) or the backtracking one. The CQ's sorted answers are
+// replayed through options.on_answer, so that answers ends as exactly the
+// delivered tuples.
 Result<EvalResult> EvaluateViaCqReduction(const GraphDb& db,
                                           const EcrpqQuery& query,
                                           const EvalOptions& options,
                                           bool use_treedec);
-
-// The CQ phase of both pipelines: evaluates `cq` over `rdb` and replays the
-// sorted answers through options.on_answer, so that answers ends as exactly
-// the delivered tuples.
-Result<EvalResult> EvaluateCq(const RelationalDb& rdb, const CqQuery& cq,
-                              bool boolean, const EvalOptions& options,
-                              bool use_treedec);
 
 // Delivers each distinct answer once across the evaluations of one request
 // (the disjuncts of a union, the phases of adaptive). Wrap(options) routes

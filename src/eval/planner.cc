@@ -186,7 +186,12 @@ Result<EvalResult> EvaluatePlanned(const GraphDb& db, const EcrpqQuery& query,
   ECRPQ_RETURN_NOT_OK(CheckEngineOptions(*engine, options));
   switch (*engine) {
     case EngineChoice::kCrpqPipeline:
-      return internal::EvaluateCrpq(db, query, options);
+      // A CRPQ's components are all one-tape: the reduction builds each as
+      // R_L (Corollary 2.4).
+      if (!query.IsCrpq()) {
+        return Status::Invalid("engine crpq-pipeline requires a CRPQ");
+      }
+      [[fallthrough]];
     case EngineChoice::kCqReduction:
       return internal::EvaluateViaCqReduction(db, query, options,
                                               /*use_treedec=*/true);

@@ -12,15 +12,23 @@
 // hypergraph keeps the component chain structure. Construction cost is
 // O(|D|^{2·cc_vertex}) per component — polynomial when cc_vertex (and, for
 // the query-rewriting step, cc_hedge) are bounded, as the lemma states.
+//
+// A one-tape component — one path variable π with at most one relation
+// atom, a unary one — is the case of Corollary 2.4: R'_C is the reach
+// relation R_L of π's language (the atom's NFA, or A* for a bare path
+// variable), built by RpqReachAll (graphdb/rpq_reach.h). A CRPQ is a query
+// whose components are all one-tape, so the CRPQ pipeline is this
+// reduction. Every other component is built by TupleReachAll
+// (graphdb/tuple_search.h).
 #ifndef ECRPQ_EVAL_REDUCE_TO_CQ_H_
 #define ECRPQ_EVAL_REDUCE_TO_CQ_H_
 
 #include <memory>
 
-#include "common/obs.h"
 #include "common/result.h"
 #include "cq/cq.h"
 #include "cq/relational_db.h"
+#include "eval/generic_eval.h"
 #include "graphdb/graph_db.h"
 #include "query/ast.h"
 
@@ -33,26 +41,21 @@ struct CqReduction {
   size_t source_tuples_enumerated = 0;
 };
 
-struct ReduceOptions {
-  // Worker threads for the sweeps that materialize each component relation
-  // (TupleReachAll): 0 = ECRPQ_THREADS / hardware default, 1 = sequential.
-  // The materialized relations (and any budget error) are identical for
-  // every value: sweeps run concurrently but their rows are concatenated
-  // in enumeration order.
-  int num_threads = 0;
-  // Observability & resource-governance session (common/obs.h). A tripped
-  // budget turns into Status::ResourceExhausted; the partial StatsReport
-  // stays readable via the session. Every materialized row is an accepting
-  // state some sweep discovered, so the budget's product-state cap also
-  // bounds the relation sizes. The budget is polled once per sweep of 64
-  // source tuples. Null = zero overhead.
-  obs::Session* obs = nullptr;
-};
-
-// Evaluating the reduced CQ is EvaluatePlanned's kCqReduction (tree
-// decomposition) or kCqReductionNp (backtracking) engine.
+// Honours options.num_threads, options.obs and options.disable_cache; the
+// other fields are the CQ phase's. The relations (and any budget error)
+// are identical for every num_threads: sweeps run concurrently but their
+// rows are concatenated in enumeration order. Unless disable_cache, a
+// one-tape component's language is interned (automata/interner.h) and R_L
+// is served from, or published to, the reach memo (graphdb/reach_memo.h);
+// the relation adopts the memo's rows without a copy, and only a self-loop
+// x -L-> x keeps a filtered copy of them. A tripped budget of options.obs
+// turns into Status::ResourceExhausted; every materialized row is an
+// accepting state some sweep discovered, so the budget's product-state cap
+// also bounds the relation sizes. Evaluating the reduced CQ is
+// EvaluatePlanned's kCrpqPipeline and kCqReduction (tree decomposition) or
+// kCqReductionNp (backtracking) engine.
 Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
-                               const ReduceOptions& options = {});
+                               const EvalOptions& options = {});
 
 }  // namespace ecrpq
 

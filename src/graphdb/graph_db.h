@@ -41,9 +41,10 @@ using VertexId = uint32_t;
 
 // Process-unique graph identity plus a monotone mutation epoch — the
 // invalidation token of the cross-query caching layer (reach memo).
-// A cache entry is keyed on (id, epoch); any mutation bumps the epoch, so
-// stale entries become unreachable by construction and age out of the LRU
-// instead of needing explicit invalidation.
+// A memo slot is keyed on the id and holds the epoch it was built at; any
+// mutation bumps the epoch, so a lookup counts the stale slot as a miss by
+// construction and the rebuild replaces it, with no explicit
+// invalidation.
 //
 // Copy/move semantics are the load-bearing part:
 //  - a COPIED graph gets a FRESH id (epoch restarts at 0): the copy can

@@ -150,8 +150,10 @@ struct SweepScratch {
 //   next[(w, q')] |= frontier[(v, q)] & ~seen[(w, q')],
 // and the states whose `next` word is nonzero, carrying only those new
 // bits, form the next level. `seen` ends as the union of the sources'
-// reachability closures, which no visit order changes. Returns the
-// sources' rows of R_L, row-major, sources then targets ascending.
+// reachability closures, which no visit order changes. Charges
+// product_states_expanded the popcount of every committed word: the states
+// one search per source would reach, summed. Returns the sources' rows of
+// R_L, row-major, sources then targets ascending.
 std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
                             VertexId first, size_t width, SweepScratch* s,
                             obs::MetricsShard* shard) {
@@ -171,6 +173,7 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       gain({first + static_cast<VertexId>(i), q}, uint64_t{1} << i);
     }
   }
+  uint64_t discovered = 0;
   while (!s->grown.empty()) {
     // Commit the level: its new bits join `seen` and become the frontier.
     s->frontier.clear();
@@ -180,6 +183,7 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       if (s->seen[code] == 0) s->reached.push_back(p);
       s->seen[code] |= word;
       s->frontier.emplace_back(p, word);
+      discovered += static_cast<uint64_t>(std::popcount(word));
     }
     s->grown.clear();
     obs::Record(shard, obs::HistogramId::kFrontierOccupancy,
@@ -192,6 +196,7 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       }
     }
   }
+  obs::Add(shard, obs::CounterId::kProductStatesExpanded, discovered);
 
   // Accepting fold over the reached states only, clearing `seen` behind it.
   for (ProductState p : s->reached) {

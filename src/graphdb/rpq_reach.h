@@ -27,8 +27,8 @@ struct PathStep {
 // `lang` has Symbol labels (ε allowed).
 //
 // The one-source case of RpqReachAll's sweep. With a non-null shard the
-// sweep's frontier_occupancy (one sample per level) and reach_set_size
-// (one sample) are recorded.
+// sweep's frontier_occupancy (one sample per level), reach_set_size (one
+// sample) and product_states_expanded are recorded.
 std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
                                    VertexId source,
                                    obs::MetricsShard* shard = nullptr);
@@ -62,11 +62,13 @@ std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
 // With a non-null `obs` session the relation build is wrapped in an
 // "RpqReachAll" span. Each sweep counts one rpq_bfs_runs, one phase_bfs_ns
 // sample, its frontier_occupancy per level, one reach_set_size sample per
-// source, its rows (tuples_materialized), and width·⌈|V|·|Q|/8⌉
-// visited_bytes, a per-source visited set for each of its sources, so a
-// relation is charged the same whatever the batching. The budget is
-// polled with CheckBudget() once per sweep; after a trip the remaining
-// sweeps are skipped, so the rows can be partial only when
+// source, its rows (tuples_materialized), the popcount of the source bits
+// it sets (product_states_expanded: the product states one search per
+// source would reach, summed), and width·⌈|V|·|Q|/8⌉ visited_bytes, a
+// per-source visited set for each of its sources, so a relation is charged
+// the same whatever the batching. The budget is polled with CheckBudget()
+// once per sweep, after the sweeps before it have charged; after a trip
+// the remaining sweeps are skipped, so the rows can be partial only when
 // obs->Exhausted() — callers check the session after the call and never
 // serve such rows as an answer.
 std::vector<VertexId> RpqReachAll(const GraphDb& db, const Nfa& lang,

@@ -1,8 +1,8 @@
 // The cross-query caching layer: sharded LRU invariants (byte budget,
 // eviction order, oversized rejection), the automaton interner's dedup and
-// DFA memo, the epoch-keyed reach memo's staleness guarantee, and the
-// plan cache's canonical-key sharing. The concurrent tests run under TSan
-// in CI (tools/ci.sh stage 5).
+// DFA memo, the reach memo's one slot per (graph, language) and its
+// staleness guarantee, and the plan cache's canonical-key sharing. The
+// concurrent tests run under TSan in CI (tools/ci.sh stage 5).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -292,15 +292,105 @@ TEST(ReachMemoTest, WarmLookupServesFromMemo) {
   EXPECT_EQ(memo.cache().GetStats().hits, lookups + 1);  // One lookup.
   EXPECT_EQ(memo.NumEntries(), 1u);  // No re-insert.
 
-  // One entry per (graph, epoch, language): another language adds one, and
-  // so does the same language after a mutation.
+  // One slot per (graph, language): another language adds one, while the
+  // same language after a mutation replaces its slot.
   const InternedNfa other =
       interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
   RpqReachAllCached(db, other);
   EXPECT_EQ(memo.NumEntries(), 2u);
   db.AddVertex();
   RpqReachAllCached(db, interned);
-  EXPECT_EQ(memo.NumEntries(), 3u);
+  EXPECT_EQ(memo.NumEntries(), 2u);
+}
+
+TEST(ReachMemoTest, StaleEpochLookupIsAMiss) {
+  GraphDb db = TwoHopDb();
+  Alphabet alphabet = Alphabet::OfChars("ab");
+  AutomatonInterner interner;
+  const InternedNfa interned =
+      interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
+  ReachMemo& memo = ReachMemo::Global();
+  memo.Clear();
+  RpqReachAllCached(db, interned);
+  const ReachMemoKey key{db.graph_id(), interned.unique_id};
+  ASSERT_TRUE(memo.Lookup(key, db.graph_epoch()).has_value());
+
+  // The slot still holds the pre-mutation rows: a lookup at the new epoch
+  // counts a miss in the process totals and in the caller's shard.
+  db.AddVertex();
+  const auto before = memo.cache().GetStats();
+  obs::Session session;
+  EXPECT_FALSE(
+      memo.Lookup(key, db.graph_epoch(), session.metrics().AcquireShard())
+          .has_value());
+  const auto after = memo.cache().GetStats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(session.Report()[obs::CounterId::kCacheMisses], 1u);
+  EXPECT_EQ(session.Report()[obs::CounterId::kCacheHits], 0u);
+  EXPECT_EQ(memo.NumEntries(), 1u);
+
+  // The rebuild replaces the slot.
+  EXPECT_EQ(*RpqReachAllCached(db, interned), RpqReachAll(db, *interned.nfa));
+  EXPECT_EQ(memo.NumEntries(), 1u);
+  EXPECT_TRUE(memo.Lookup(key, db.graph_epoch()).has_value());
+}
+
+TEST(ReachMemoTest, OneSlotPerGraphAndLanguage) {
+  // A graph that keeps changing, queried after every mutation with a CRPQ
+  // whose atoms share one language: the memo holds one slot throughout,
+  // where one entry per epoch would hold a dead snapshot per mutation.
+  GraphDb db = CycleGraph(8, "ab");
+  const EcrpqQuery query =
+      ParseEcrpq("q(x, z) := x -[/a(a|b)*/]-> y, y -[/a(a|b)*/]-> z",
+                 db.alphabet())
+          .ValueOrDie();
+  EvalOptions options;
+  options.engine = EngineChoice::kCrpqPipeline;
+  options.num_threads = 1;
+  EvalOptions uncached = options;
+  uncached.disable_cache = true;
+  ClearGlobalCaches();
+  for (VertexId mutation = 0; mutation <= 6; ++mutation) {
+    if (mutation > 0) {
+      db.AddEdge(mutation, static_cast<Symbol>(mutation % 2),
+                 (3 * mutation) % 8);
+    }
+    const EvalResult cached = EvaluatePlanned(db, query, options).ValueOrDie();
+    EXPECT_EQ(cached.answers,
+              EvaluatePlanned(db, query, uncached).ValueOrDie().answers)
+        << mutation << " mutations";
+    EXPECT_EQ(ReachMemo::Global().NumEntries(), 1u)
+        << mutation << " mutations";
+  }
+}
+
+TEST(ReachMemoTest, CrpqStateBudgetTripPublishesNothing) {
+  // The product-state cap bounds R_L builds: a CRPQ under a 1-state cap
+  // trips at every pool size (150 vertices are three sweeps), and the memo
+  // keeps nothing of the build.
+  Rng rng(5);
+  const GraphDb db = RandomGraph(&rng, 150, 3.0, 2);
+  const EcrpqQuery query =
+      ParseEcrpq("q(x, y) := x -[/a(a|b)*/]-> y", db.alphabet())
+          .ValueOrDie();
+  for (int threads : {1, 4}) {
+    ClearGlobalCaches();
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 1;
+    session.SetBudget(budget);
+    EvalOptions options;
+    options.engine = EngineChoice::kCrpqPipeline;
+    options.num_threads = threads;
+    options.obs = &session;
+    const Result<EvalResult> r = EvaluatePlanned(db, query, options);
+    ASSERT_FALSE(r.ok()) << threads << " threads";
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << threads << " threads";
+    EXPECT_STREQ(session.exhausted_reason(), "max_product_states");
+    EXPECT_EQ(ReachMemo::Global().NumEntries(), 0u) << threads << " threads";
+  }
 }
 
 TEST(ReachMemoTest, EntryIsChargedItsRowBytes) {

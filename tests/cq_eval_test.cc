@@ -154,7 +154,7 @@ TEST(CqTreeDecTest, LemmaFourThreeBagsAreTheRelations) {
     SCOPED_TRACE(text);
     Result<EcrpqQuery> query = ParseEcrpq(text, ab);
     ASSERT_TRUE(query.ok()) << query.status();
-    ReduceOptions reduce_options;
+    EvalOptions reduce_options;
     reduce_options.num_threads = 1;
     Result<CqReduction> reduction = ReduceToCq(graph, *query, reduce_options);
     ASSERT_TRUE(reduction.ok()) << reduction.status();

@@ -273,6 +273,9 @@ TEST_P(DifferentialSuite, PipelineSizeHistogramsPoolSizeInvariant) {
     options.engine = EngineChoice::kCqReduction;
     options.obs = &session;
     options.num_threads = threads;
+    // Both runs build every relation: with the reach memo on, the second
+    // would read its one-tape components from the memo.
+    options.disable_cache = true;
     Result<EvalResult> result = EvaluatePlanned(db, *q, options);
     EXPECT_TRUE(result.ok()) << result.status();
     return {std::move(result).ValueOrDie(), session.Report()};

@@ -79,7 +79,7 @@ TEST(ErrorPathsTest, ReductionBudgets) {
     obs::EvalBudget budget;
     budget.max_product_states = 1;
     session.SetBudget(budget);
-    ReduceOptions options;
+    EvalOptions options;
     options.num_threads = num_threads;
     options.obs = &session;
     Result<CqReduction> r = ReduceToCq(db, q, options);

@@ -1,14 +1,19 @@
 // Hand-verifiable end-to-end evaluations across all engines.
 #include <gtest/gtest.h>
 
+#include "automata/interner.h"
+#include "automata/regex.h"
 #include "common/obs.h"
 #include "common/rng.h"
 
 #include "eval/generic_eval.h"
+#include "eval/merge.h"
 #include "eval/naive_eval.h"
 #include "eval/planner.h"
 #include "eval/reduce_to_cq.h"
 #include "graphdb/generators.h"
+#include "graphdb/reach_memo.h"
+#include "graphdb/rpq_reach.h"
 #include "query/parser.h"
 #include "workloads/query_gen.h"
 
@@ -212,6 +217,92 @@ TEST(ReduceToCqTest, PipelineMatchesGeneric) {
   EXPECT_EQ(generic->satisfiable, via_td->satisfiable);
   EXPECT_EQ(generic->answers, via_td->answers);
   EXPECT_EQ(generic->answers, via_bt->answers);
+}
+
+std::vector<VertexId> RowsOf(const Relation& relation) {
+  std::vector<VertexId> rows;
+  for (size_t i = 0; i < relation.NumTuples(); ++i) {
+    const std::span<const VertexId> tuple = relation.Tuple(i);
+    rows.insert(rows.end(), tuple.begin(), tuple.end());
+  }
+  return rows;
+}
+
+// A one-tape component (one path variable, at most one relation atom, a
+// unary one) is R_L of its language: RpqReachAll's rows, only (u, u) for a
+// self-loop. A second cached reduction adopts the memo's rows without a
+// copy and materializes only its other components; with disable_cache
+// nothing is interned or published.
+TEST(ReduceToCqTest, OneTapeComponentsAreReachRelations) {
+  Rng rng(17);
+  const GraphDb db = RandomGraph(&rng, 40, 2.5, 2);
+  struct Case {
+    const char* query;
+    const char* language;  // Of every one-tape component.
+    size_t one_tape;       // Components that are one-tape.
+  };
+  const Case cases[] = {
+      {"q(x, y) := x -[/a(a|b)*/]-> y", "a(a|b)*", 1},
+      {"q(x) := x -[/ab*/]-> x", "ab*", 1},
+      {"q(x, y) := x -[p]-> y", "(a|b)*", 1},
+      // ecrpq_engines' K4 text: four one-tape .+ components beside eqlen.
+      {"q() := x -[p1]-> y, x -[/.+/]-> z, x -[/.+/]-> w, y -[p2]-> z, "
+       "y -[/.+/]-> w, z -[/.+/]-> w, eqlen(p1, p2)",
+       ".+", 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    const EcrpqQuery query = Parse(c.query);
+    const bool self_loop = query.reach_atoms()[0].from ==
+                           query.reach_atoms()[0].to;
+    Alphabet alphabet = kAb;
+    const std::vector<VertexId> reach =
+        RpqReachAll(db, CompileRegex(c.language, &alphabet).ValueOrDie());
+    std::vector<VertexId> expected;
+    for (size_t row = 0; row < reach.size(); row += 2) {
+      if (!self_loop || reach[row] == reach[row + 1]) {
+        expected.insert(expected.end(), {reach[row], reach[row + 1]});
+      }
+    }
+    auto reduce = [&](bool disable_cache, obs::Session* session) {
+      EvalOptions options;
+      options.num_threads = 1;
+      options.disable_cache = disable_cache;
+      options.obs = session;
+      return ReduceToCq(db, query, options).ValueOrDie();
+    };
+    ClearGlobalCaches();
+    const CqReduction cold = reduce(false, nullptr);
+    obs::Session warm_session;
+    const CqReduction warm = reduce(false, &warm_session);
+    ClearGlobalCaches();
+    const CqReduction uncached = reduce(true, nullptr);
+    EXPECT_EQ(ReachMemo::Global().NumEntries(), 0u);
+    EXPECT_EQ(AutomatonInterner::Global().SizeBytes(), 0u);
+
+    const std::vector<ComponentPlan> plans = PlanComponents(query);
+    size_t one_tape = 0;
+    uint64_t other_rows = 0;
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const std::string name = "comp" + std::to_string(i);
+      if (plans[i].paths.size() > 1) {
+        other_rows += warm.db->Find(name)->NumTuples();
+        continue;
+      }
+      ++one_tape;
+      const Relation& shared = *warm.db->Find(name);
+      EXPECT_EQ(RowsOf(shared), expected) << name;
+      EXPECT_EQ(RowsOf(*cold.db->Find(name)), expected) << name;
+      EXPECT_EQ(RowsOf(*uncached.db->Find(name)), expected) << name;
+      ASSERT_GT(shared.NumTuples(), 0u) << name;
+      EXPECT_EQ(shared.Tuple(0).data() == cold.db->Find(name)->Tuple(0).data(),
+                !self_loop)
+          << name;
+    }
+    EXPECT_EQ(one_tape, c.one_tape);
+    EXPECT_EQ(warm_session.Report()[obs::CounterId::kTuplesMaterialized],
+              other_rows);
+  }
 }
 
 TEST(NaiveEvalTest, AgreesOnHandCase) {

@@ -212,6 +212,9 @@ TEST(ParallelDeterminismTest, CqReductionRelations) {
     EvalOptions options;
     options.engine = EngineChoice::kCqReduction;
     options.num_threads = num_threads;
+    // Both runs build every relation (one-tape components would otherwise
+    // come from the reach memo on the second).
+    options.disable_cache = true;
     options.obs = &session;
     Result<EvalResult> r = EvaluatePlanned(db, q, options);
     EXPECT_TRUE(r.ok()) << r.status();
@@ -270,7 +273,7 @@ TEST(ParallelDeterminismTest, CqReductionBudgetError) {
     obs::EvalBudget budget;
     budget.max_product_states = 5;
     session.SetBudget(budget);
-    ReduceOptions options;
+    EvalOptions options;
     options.num_threads = num_threads;
     options.obs = &session;
     Result<CqReduction> r = ReduceToCq(db, q, options);

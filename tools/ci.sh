@@ -137,25 +137,41 @@ build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$CC3_QUERY" \
   --engine=generic --no-cache | sed -n '/^satisfiable:/,$p' \
   | diff "$OBS_TMP/answers-generic-cc3.out" -
 eval_answers cq "$CC3_QUERY" | diff "$OBS_TMP/answers-generic-cc3.out" -
+# An ECRPQ with a one-tape component (z -[/aaa/]-> w beside the eqlen
+# block): auto routes it to cq-reduction/treedec, which builds that
+# component as R_L through the interner and the reach memo, or without
+# them under --no-cache; both must print the generic engine's answers.
+ONE_TAPE_QUERY='q(x, w) := x -[p1]-> y, y -[p2]-> z, z -[/aaa/]-> w, eqlen(p1, p2)'
+eval_answers generic "$ONE_TAPE_QUERY" > "$OBS_TMP/answers-generic-1tape.out"
+eval_answers auto "$ONE_TAPE_QUERY" \
+  | diff "$OBS_TMP/answers-generic-1tape.out" -
+build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$ONE_TAPE_QUERY" \
+  --no-cache | sed -n '/^satisfiable:/,$p' \
+  | diff "$OBS_TMP/answers-generic-1tape.out" -
 # A starved budget: eval must exit 3 (ResourceExhausted) and still print
 # the partial stats report. --engine=cq checks the budget after every
-# materialization batch, so a 1-state budget trips deterministically.
+# materialization batch, so a 1-state budget trips deterministically; so
+# does --engine=crpq, whose R_L builds charge their product states.
 # adaptive arms its phase-1 session with the caller's cap, far below its
 # own budget, so the caller's budget trips in phase 1 and ends the
 # evaluation (AdaptiveTest checks that it does not fall back).
-for engine in cq adaptive; do
+starved_budget() {  # starved_budget <engine> <query>
   BUDGET_RC=0
-  build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$OBS_QUERY" \
-    --engine="$engine" --budget-states=1 --budget-mem=1 \
-    > "$OBS_TMP/budget-$engine.out" 2>&1 || BUDGET_RC=$?
+  build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$2" \
+    --engine="$1" --budget-states=1 --budget-mem=1 \
+    > "$OBS_TMP/budget-$1.out" 2>&1 || BUDGET_RC=$?
   if [ "$BUDGET_RC" -ne 3 ]; then
     echo "obs smoke: expected exit 3 on exhausted budget with" \
-      "--engine=$engine, got $BUDGET_RC" >&2
-    cat "$OBS_TMP/budget-$engine.out" >&2
+      "--engine=$1, got $BUDGET_RC" >&2
+    cat "$OBS_TMP/budget-$1.out" >&2
     exit 1
   fi
-  grep -q 'partial stats:' "$OBS_TMP/budget-$engine.out"
+  grep -q 'partial stats:' "$OBS_TMP/budget-$1.out"
+}
+for engine in cq adaptive; do
+  starved_budget "$engine" "$OBS_QUERY"
 done
+starved_budget crpq "$CRPQ_QUERY"
 # --no-cache escape hatch: bypassing the cross-query caches must not change
 # a byte of output. (Each CLI run is its own process, so this checks the
 # flag plumbing and cold-path equality; warm-hit equality is covered by
@@ -208,6 +224,19 @@ grep -q '"id":"r5","status":"ok".*"num_answers":3' "$SVC_TMP/batch1.out"
 grep -q '"id":null,"status":"error","code":"parse_error"' "$SVC_TMP/batch1.out"
 grep -q '"id":"r5","status":"error","code":"invalid_argument".*duplicate' \
   "$SVC_TMP/batch1.out"
+# A misspelt option is refused with the usage (exit 2), never run with the
+# defaults: `--pool 3` (a space for the =) would leave a stray "3", and an
+# unknown --option is no option at all.
+for bad in "--pool 3" "--bogus-flag"; do
+  BAD_RC=0
+  # shellcheck disable=SC2086  # $bad is two words on purpose.
+  build/tools/ecrpq_cli serve --batch="$SVC_TMP/requests.jsonl" $bad \
+    --graph="$SVC_TMP/graph.txt" > /dev/null 2>&1 || BAD_RC=$?
+  if [ "$BAD_RC" -ne 2 ]; then
+    echo "service smoke: serve with '$bad' exited $BAD_RC, expected 2" >&2
+    exit 1
+  fi
+done
 # Socket transport: two concurrent clients over a Unix socket against a
 # 4-thread service; every response must carry the matching request id and
 # the right answer count, whatever the interleaving. The timeout is a

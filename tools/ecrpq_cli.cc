@@ -138,7 +138,9 @@ struct Args {
   bool no_clear = false;
 };
 
-Args ParseArgs(int argc, char** argv) {
+// Nullopt, after naming the argument on stderr, when an argument starts
+// with "--" but is no option; every other argument is positional.
+std::optional<Args> ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -220,6 +222,9 @@ Args ParseArgs(int argc, char** argv) {
       if (eq != std::string::npos) {
         args.relations.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
       }
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return std::nullopt;
     } else {
       args.positional.push_back(arg);
     }
@@ -831,7 +836,14 @@ int Top(const Args& args) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Args args = ParseArgs(argc, argv);
+  const std::optional<Args> parsed = ParseArgs(argc, argv);
+  if (!parsed.has_value()) return Usage();
+  const Args& args = *parsed;
+  if ((command == "serve" || command == "top") && !args.positional.empty()) {
+    std::fprintf(stderr, "%s takes no argument '%s'\n", command.c_str(),
+                 args.positional[0].c_str());
+    return Usage();
+  }
   if (command == "classify") return Classify(args);
   if (command == "check") return Check(args);
   if (command == "eval") return Eval(args);

@@ -84,7 +84,6 @@ ENGINE_FILES = [
     "src/graphdb/reach_memo.cc",
     "src/eval/generic_eval.cc",
     "src/eval/reduce_to_cq.cc",
-    "src/eval/crpq_eval.cc",
     "src/cq/eval_backtrack.cc",
     "src/cq/eval_treedec.cc",
 ]
