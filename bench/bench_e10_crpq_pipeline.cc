@@ -23,7 +23,7 @@ void BM_RpqReachAllDataScaling(benchmark::State& state) {
   size_t pairs = 0;
   for (auto _ : state) {
     auto relation = RpqReachAll(db, lang);
-    pairs = relation.size() / 2;  // Row-major (u, v) pairs.
+    pairs = relation->size() / 2;  // Row-major (u, v) pairs.
     benchmark::DoNotOptimize(relation);
   }
   state.counters["vertices"] = n;

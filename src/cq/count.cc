@@ -1,14 +1,10 @@
 #include "cq/count.h"
 
-#include <algorithm>
 #include <unordered_map>
 
-#include "common/check.h"
 #include "common/hash.h"
-#include "cq/eval_backtrack.h"
+#include "cq/eval_treedec.h"
 #include "eval/reduce_to_cq.h"
-#include "structure/tree_decomposition.h"
-#include "structure/treewidth.h"
 
 namespace ecrpq {
 namespace {
@@ -22,119 +18,40 @@ Result<uint64_t> Narrow(u128 value) {
   return static_cast<uint64_t>(value);
 }
 
-std::vector<uint32_t> ProjectTuple(const std::vector<int>& vars,
-                                   const std::vector<uint32_t>& tuple,
-                                   const std::vector<int>& onto) {
-  std::vector<uint32_t> out;
-  out.reserve(onto.size());
-  size_t j = 0;
-  for (int v : onto) {
-    while (j < vars.size() && vars[j] < v) ++j;
-    ECRPQ_CHECK(j < vars.size() && vars[j] == v);
-    out.push_back(tuple[j]);
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<uint64_t> CountAssignments(const RelationalDb& db,
                                   const CqQuery& query) {
   ECRPQ_RETURN_NOT_OK(ValidateCq(db, query));
   if (query.num_vars == 0) return uint64_t{1};
-
-  const SimpleGraph gaifman = query.GaifmanGraph();
-  const TreewidthResult tw = TreewidthBest(gaifman);
-  const TreeDecomposition td =
-      DecompositionFromEliminationOrder(gaifman, tw.elimination_order);
-  const int num_bags = static_cast<int>(td.bags.size());
-
-  // Tree structure rooted at 0.
-  std::vector<std::vector<int>> adj(num_bags);
-  for (const auto& [a, b] : td.edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  std::vector<int> parent(num_bags, -1);
-  std::vector<std::vector<int>> children(num_bags);
-  std::vector<int> order;  // Pre-order.
-  {
-    std::vector<int> stack{0};
-    std::vector<bool> seen(num_bags, false);
-    seen[0] = true;
-    while (!stack.empty()) {
-      const int b = stack.back();
-      stack.pop_back();
-      order.push_back(b);
-      for (int nb : adj[b]) {
-        if (!seen[nb]) {
-          seen[nb] = true;
-          parent[nb] = b;
-          children[b].push_back(nb);
-          stack.push_back(nb);
-        }
-      }
-    }
-  }
-
-  // Assign every atom to one bag containing its variables.
-  std::vector<std::vector<size_t>> atoms_of_bag(num_bags);
-  for (size_t a = 0; a < query.atoms.size(); ++a) {
-    std::vector<int> avars;
-    for (CqVarId v : query.atoms[a].vars) avars.push_back(static_cast<int>(v));
-    std::sort(avars.begin(), avars.end());
-    avars.erase(std::unique(avars.begin(), avars.end()), avars.end());
-    bool placed = false;
-    for (int b = 0; b < num_bags && !placed; ++b) {
-      if (std::includes(td.bags[b].begin(), td.bags[b].end(), avars.begin(),
-                        avars.end())) {
-        atoms_of_bag[b].push_back(a);
-        placed = true;
-      }
-    }
-    if (!placed) {
-      return Status::Internal("atom not covered by the tree decomposition");
-    }
-  }
-
-  // Materialize bag tuples.
-  std::vector<std::vector<std::vector<uint32_t>>> bag_tuples(num_bags);
-  for (int b = 0; b < num_bags; ++b) {
-    CqQuery sub;
-    sub.num_vars = query.num_vars;
-    for (int v : td.bags[b]) sub.free_vars.push_back(static_cast<CqVarId>(v));
-    for (size_t a : atoms_of_bag[b]) sub.atoms.push_back(query.atoms[a]);
-    ECRPQ_ASSIGN_OR_RAISE(CqEvalResult result,
-                          CqEvaluateBacktracking(db, sub));
-    bag_tuples[b] = std::move(result.answers);
-  }
+  ECRPQ_ASSIGN_OR_RAISE(const BagTree tree,
+                        MaterializeBags(db, query, /*obs=*/nullptr));
 
   // Bottom-up DP: counts[b][i] = #assignments of subtree(b)'s variables
-  // restricting to bag tuple i.
-  std::vector<std::vector<u128>> counts(num_bags);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int b = *it;
-    counts[b].assign(bag_tuples[b].size(), 1);
-    for (int c : children[b]) {
-      // Separator = bag(b) ∩ bag(c).
-      std::vector<int> sep;
-      std::set_intersection(td.bags[b].begin(), td.bags[b].end(),
-                            td.bags[c].begin(), td.bags[c].end(),
-                            std::back_inserter(sep));
-      // Child contributions grouped by separator projection.
-      std::unordered_map<std::vector<uint32_t>, u128, VectorHash<uint32_t>>
-          by_sep;
-      for (size_t i = 0; i < bag_tuples[c].size(); ++i) {
-        by_sep[ProjectTuple(td.bags[c], bag_tuples[c][i], sep)] +=
-            counts[c][i];
-      }
-      for (size_t i = 0; i < bag_tuples[b].size(); ++i) {
-        auto found = by_sep.find(ProjectTuple(td.bags[b], bag_tuples[b][i],
-                                              sep));
-        // 128-bit intermediates; the final Narrow() guards the result. (A
-        // count needing more than 128 bits would require ~2^64 vertices.)
-        counts[b][i] *= (found == by_sep.end()) ? 0 : found->second;
-      }
+  // restricting to bag tuple i. Children come after their parent in
+  // pre-order, so the reverse walk folds every subtree into its root's
+  // counts before that root is folded into its parent.
+  std::vector<std::vector<u128>> counts(tree.bags.size());
+  for (size_t b = 0; b < tree.bags.size(); ++b) {
+    counts[b].assign(tree.bags[b].tuples.size(), 1);
+  }
+  for (auto it = tree.pre_order.rbegin(); it != tree.pre_order.rend(); ++it) {
+    const BagTree::Bag& bag = tree.bags[*it];
+    if (bag.parent < 0) continue;
+    const BagTree::Bag& parent = tree.bags[bag.parent];
+    // The bag's counts grouped by its separator projection.
+    std::unordered_map<std::vector<uint32_t>, u128, VectorHash<uint32_t>>
+        by_sep;
+    for (size_t i = 0; i < bag.tuples.size(); ++i) {
+      by_sep[ProjectTuple(bag.vars, bag.tuples[i], bag.sep)] +=
+          counts[*it][i];
+    }
+    for (size_t i = 0; i < parent.tuples.size(); ++i) {
+      auto found =
+          by_sep.find(ProjectTuple(parent.vars, parent.tuples[i], bag.sep));
+      // 128-bit intermediates; the final Narrow() guards the result. (A
+      // count needing more than 128 bits would require ~2^64 vertices.)
+      counts[bag.parent][i] *= (found == by_sep.end()) ? 0 : found->second;
     }
   }
 

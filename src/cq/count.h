@@ -1,6 +1,9 @@
 // Counting satisfying assignments of a CQ (homomorphism counting) by
 // dynamic programming over a tree decomposition — polynomial for bounded
-// treewidth, the counting analogue of the Prop. 2.3 evaluation bound.
+// treewidth, the counting analogue of the Prop. 2.3 evaluation bound. The
+// decomposition and its bag relations are MaterializeBags'
+// (cq/eval_treedec.h), the same bags CqEvaluateTreeDec joins; the DP is
+// all that is specific to counting.
 //
 // Counts *full* assignments (all variables), not projected answers:
 // projected counting is #·NP-hard even for tractable shapes, while

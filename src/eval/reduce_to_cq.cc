@@ -77,12 +77,14 @@ Nfa OneTapeLanguage(const EcrpqQuery& query, const ComponentPlan& plan) {
 // served from the reach memo; RpqReachAll's output does not depend on
 // transition order, so the interned (normalized) automaton gives the same
 // rows.
-ReachMemo::Rows ReachRelation(const GraphDb& db, const Nfa& lang,
-                              const EvalOptions& options,
-                              obs::MetricsShard* shard) {
+Result<ReachMemo::Rows> ReachRelation(const GraphDb& db, const Nfa& lang,
+                                      const EvalOptions& options,
+                                      obs::MetricsShard* shard) {
   if (options.disable_cache) {
-    return std::make_shared<const std::vector<VertexId>>(
+    ECRPQ_ASSIGN_OR_RAISE(
+        std::vector<VertexId> rows,
         RpqReachAll(db, lang, options.num_threads, options.obs));
+    return std::make_shared<const std::vector<VertexId>>(std::move(rows));
   }
   return RpqReachAllCached(db, AutomatonInterner::Global().Intern(lang, shard),
                            options.num_threads, options.obs);
@@ -152,8 +154,9 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
     if (IsOneTape(plan)) {
       // Corollary 2.4: R'_C is R_L, adopted as it is — RpqReachAll's rows
       // are sorted and duplicate-free — and shared with the memo.
-      ReachMemo::Rows rows =
-          ReachRelation(db, OneTapeLanguage(query, plan), options, shard);
+      ECRPQ_ASSIGN_OR_RAISE(
+          ReachMemo::Rows rows,
+          ReachRelation(db, OneTapeLanguage(query, plan), options, shard));
       if (same_as[1] == 0) {
         // A self-loop x -L-> x keeps the rows (u, u).
         auto loops = std::make_shared<std::vector<VertexId>>();
@@ -190,8 +193,8 @@ Result<CqReduction> ReduceToCq(const GraphDb& db, const EcrpqQuery& query,
     for (int i = 0; i < r; ++i) source_tuples *= n;
     reduction.source_tuples_enumerated += source_tuples;
     reduction.query.atoms.push_back(std::move(atom));
-    // The relation builders poll before each sweep; this poll sees what
-    // the last sweep charged.
+    // The relation builders poll the budget themselves; this poll also
+    // sees the time a memo hit or an adopted relation took.
     if (options.obs != nullptr && options.obs->CheckBudget()) {
       return options.obs->ExhaustedStatus();
     }

@@ -4,8 +4,9 @@
 // row-major (source, target) pairs — which ReduceToCq adopts as a CQ
 // relation without a copy (cq/relation.h), so every query reading R_L
 // shares one vector. An entry is charged its row bytes plus its key, close
-// to its real footprint, so the byte budget bounds the memo's memory. Only
-// complete relations are published: there are no partial hits.
+// to its real footprint, so the byte budget bounds the memo's memory.
+// RpqReachAll returns the whole relation or an error, so there are no
+// partial hits.
 //
 // Invalidation is by construction, not by callback: every GraphDb mutation
 // bumps the graph's monotone epoch (see GraphIdentity in graph_db.h), and
@@ -35,6 +36,7 @@
 #include "common/cache.h"
 #include "common/hash.h"
 #include "common/obs.h"
+#include "common/result.h"
 #include "graphdb/graph_db.h"
 
 namespace ecrpq {
@@ -103,18 +105,19 @@ class ReachMemo {
   ShardedLruCache<ReachMemoKey, Snapshot, ReachMemoKeyHash> cache_;
 };
 
-// Cached RpqReachAll (graphdb/rpq_reach.h): R_L for the interned language
-// `lang` on `db`, the same rows in the same order. One lookup serves the
-// (graph, language) slot when it holds db's current epoch. On a miss
-// RpqReachAll builds the relation outside any memo lock, on the same pool
-// and scheduler as the uncached path, and the rows replace the slot only
-// if `obs`'s budget holds after the build (CheckBudget); otherwise they may
-// be partial, and the caller's own CheckBudget turns them into
+// Cached RpqReachAll (graphdb/rpq_reach.h, where this and Global() are
+// defined): R_L for the interned language `lang` on `db`, the same rows in
+// the same order. One lookup serves the (graph, language) slot when it
+// holds db's current epoch. On a miss RpqReachAll builds the relation
+// outside any memo lock, on the same pool and scheduler as the uncached
+// path; the rows replace the slot exactly when the build returns them, and
+// a build that trips `obs`'s budget publishes nothing and returns its
 // ResourceExhausted. Two sessions that miss the same slot at once both
 // build it; the rows are identical and the last insert wins.
-ReachMemo::Rows RpqReachAllCached(const GraphDb& db, const InternedNfa& lang,
-                                  int num_threads = 0,
-                                  obs::Session* obs = nullptr);
+Result<ReachMemo::Rows> RpqReachAllCached(const GraphDb& db,
+                                          const InternedNfa& lang,
+                                          int num_threads = 0,
+                                          obs::Session* obs = nullptr);
 
 }  // namespace ecrpq
 

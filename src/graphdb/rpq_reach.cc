@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <deque>
 #include <optional>
@@ -10,15 +11,12 @@
 #include "common/bitset.h"
 #include "common/thread_pool.h"
 #include "common/worklist.h"
+#include "graphdb/reach_memo.h"
 
 namespace ecrpq {
 namespace {
 
 constexpr Symbol kEpsilonStep = ~Symbol{0};
-
-// A sweep searches from one machine word of sources at once: bit i of a
-// product state's word stands for the sweep's i-th source.
-constexpr size_t kSweepWidth = 64;
 
 // Witness-path BFS: the sparse 0/1-BFS with parent pointers. Kept separate
 // from the reach sweep because shortest-path structure needs parents and
@@ -150,10 +148,11 @@ struct SweepScratch {
 //   next[(w, q')] |= frontier[(v, q)] & ~seen[(w, q')],
 // and the states whose `next` word is nonzero, carrying only those new
 // bits, form the next level. `seen` ends as the union of the sources'
-// reachability closures, which no visit order changes. Charges
-// product_states_expanded the popcount of every committed word: the states
-// one search per source would reach, summed. Returns the sources' rows of
-// R_L, row-major, sources then targets ascending.
+// reachability closures, which no visit order changes. With a shard it
+// charges product_states_expanded the popcount of every reached state's
+// `seen` word: the states one search per source would reach, summed.
+// Returns the sources' rows of R_L, row-major, sources then targets
+// ascending.
 std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
                             VertexId first, size_t width, SweepScratch* s,
                             obs::MetricsShard* shard) {
@@ -173,7 +172,6 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       gain({first + static_cast<VertexId>(i), q}, uint64_t{1} << i);
     }
   }
-  uint64_t discovered = 0;
   while (!s->grown.empty()) {
     // Commit the level: its new bits join `seen` and become the frontier.
     s->frontier.clear();
@@ -183,7 +181,6 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       if (s->seen[code] == 0) s->reached.push_back(p);
       s->seen[code] |= word;
       s->frontier.emplace_back(p, word);
-      discovered += static_cast<uint64_t>(std::popcount(word));
     }
     s->grown.clear();
     obs::Record(shard, obs::HistogramId::kFrontierOccupancy,
@@ -196,16 +193,21 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
       }
     }
   }
-  obs::Add(shard, obs::CounterId::kProductStatesExpanded, discovered);
-
   // Accepting fold over the reached states only, clearing `seen` behind it.
+  // A committed word never overlaps `seen`, so one popcount per reached
+  // state sums the bits of every level.
+  uint64_t discovered = 0;
   for (ProductState p : s->reached) {
     const uint64_t word = std::exchange(s->seen[code_of(p)], 0);
+    if (shard != nullptr) {
+      discovered += static_cast<uint64_t>(std::popcount(word));
+    }
     if (!automaton.accepting[p.q]) continue;
     if (s->targets[p.v] == 0) s->hits.push_back(p.v);
     s->targets[p.v] |= word;
   }
   s->reached.clear();
+  obs::Add(shard, obs::CounterId::kProductStatesExpanded, discovered);
   std::sort(s->hits.begin(), s->hits.end());
   // Source i's rows are rows [offset[i], offset[i + 1]); walking the hit
   // vertices in ascending order fills each block with ascending targets.
@@ -234,79 +236,122 @@ std::vector<VertexId> Sweep(const GraphDb& db, const SweepAutomaton& automaton,
 
 }  // namespace
 
-std::vector<VertexId> RpqReachFrom(const GraphDb& db, const Nfa& lang,
-                                   VertexId source,
-                                   obs::MetricsShard* shard) {
-  const size_t n = static_cast<size_t>(db.NumVertices());
-  const SweepAutomaton automaton(lang);
-  SweepScratch scratch(n * automaton.NumStates(), n);
-  const std::vector<VertexId> rows =
-      Sweep(db, automaton, source, 1, &scratch, shard);
-  std::vector<VertexId> out;
-  out.reserve(rows.size() / 2);
-  for (size_t i = 1; i < rows.size(); i += 2) out.push_back(rows[i]);
-  return out;
-}
-
-std::vector<VertexId> RpqReachAll(const GraphDb& db, const Nfa& lang,
-                                  int num_threads, obs::Session* obs) {
-  const size_t n = static_cast<size_t>(db.NumVertices());
-  const size_t num_sweeps = (n + kSweepWidth - 1) / kSweepWidth;
-  const int threads = ThreadPool::ResolveNumThreads(num_threads);
-  obs::Span span(obs != nullptr ? obs->trace() : nullptr, "RpqReachAll");
+Result<std::vector<VertexId>> RunSweeps(
+    const GraphDb& db, uint64_t num_sources, size_t row_width,
+    int num_threads, obs::Session* obs,
+    const std::function<SweepFn(obs::MetricsShard*)>& make_worker) {
   obs::MetricsShard* shard =
       obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
+  const uint64_t num_sweeps = (num_sources + kSweepWidth - 1) / kSweepWidth;
+  const int threads = ThreadPool::ResolveNumThreads(num_threads);
+  const bool parallel = threads > 1 && num_sweeps > 1;
+  if (parallel) db.Finalize();  // The lazy CSR build is not thread-safe.
+  std::vector<SweepFn> workers(parallel ? static_cast<size_t>(threads) : 1);
+  std::atomic<bool> failed{false};
+  std::vector<VertexId> rows;
+  for (uint64_t round = 0; round < num_sweeps; round += kSweepsPerRound) {
+    const size_t in_round = static_cast<size_t>(
+        std::min<uint64_t>(kSweepsPerRound, num_sweeps - round));
+    std::vector<std::vector<VertexId>> blocks(in_round);
+    std::vector<Status> errors(in_round);
+    auto run_sweep = [&](size_t b, int worker) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      // One poll per sweep: a sweep is the natural coarse stride here.
+      if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
+      SweepFn& sweep = workers[worker];
+      if (!sweep) sweep = make_worker(shard);
+      const uint64_t first = (round + b) * kSweepWidth;
+      const size_t width = static_cast<size_t>(
+          std::min<uint64_t>(kSweepWidth, num_sources - first));
+      obs::ScopedTimer sweep_timer(shard, obs::HistogramId::kPhaseBfsNs);
+      errors[b] = sweep(first, width, &blocks[b]);
+      if (!errors[b].ok()) {
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+      obs::Add(shard, obs::CounterId::kTuplesMaterialized,
+               blocks[b].size() / row_width);
+    };
+    if (parallel) {
+      // Sweeps are independent; the scheduler only decides which worker
+      // fills which slot, and the slots are appended in sweep order.
+      FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
+      scheduler.Execute(in_round, run_sweep);
+    } else {
+      for (size_t b = 0; b < in_round; ++b) run_sweep(b, 0);
+    }
+    for (Status& error : errors) {
+      if (!error.ok()) return std::move(error);
+    }
+    size_t num_values = 0;
+    for (const std::vector<VertexId>& block : blocks) {
+      num_values += block.size();
+    }
+    // Exact for the first round; geometric across rounds.
+    if (rows.capacity() - rows.size() < num_values) {
+      rows.reserve(std::max(rows.size() + num_values, 2 * rows.capacity()));
+    }
+    for (const std::vector<VertexId>& block : blocks) {
+      rows.insert(rows.end(), block.begin(), block.end());
+    }
+    if (obs != nullptr && obs->Exhausted()) break;
+  }
+  // Final check: totals that the last sweeps pushed over the budget
+  // between polls still surface as ResourceExhausted.
+  if (obs != nullptr && obs->CheckBudget()) return obs->ExhaustedStatus();
+  rows.shrink_to_fit();  // A no-op after a single round.
+  return rows;
+}
+
+Result<std::vector<VertexId>> RpqReachAll(const GraphDb& db, const Nfa& lang,
+                                          int num_threads, obs::Session* obs) {
+  obs::Span span(obs != nullptr ? obs->trace() : nullptr, "RpqReachAll");
+  const size_t n = static_cast<size_t>(db.NumVertices());
   const SweepAutomaton automaton(lang);
   const size_t num_states = n * automaton.NumStates();
   // Each source is charged the |V|·|Q|-bit visited set a search of its own
   // would need, so the charge per relation does not depend on batching.
   const uint64_t source_bytes =
       (n * static_cast<uint64_t>(lang.NumStates()) + 7) / 8;
-  std::vector<std::vector<VertexId>> per_sweep(num_sweeps);
-  auto run_sweep = [&](size_t b, SweepScratch* scratch) {
-    const VertexId first = static_cast<VertexId>(b * kSweepWidth);
-    const size_t width = std::min(kSweepWidth, n - first);
-    obs::Add(shard, obs::CounterId::kRpqBfsRuns);
-    obs::Add(shard, obs::CounterId::kVisitedBytes, width * source_bytes);
-    obs::ScopedTimer sweep_timer(shard, obs::HistogramId::kPhaseBfsNs);
-    per_sweep[b] = Sweep(db, automaton, first, width, scratch, shard);
-    obs::Add(shard, obs::CounterId::kTuplesMaterialized,
-             per_sweep[b].size() / 2);
-  };
-  if (threads <= 1 || num_sweeps < 2) {
-    SweepScratch scratch(num_states, n);
-    for (size_t b = 0; b < num_sweeps; ++b) {
-      // One poll per sweep: a sweep is the natural coarse stride here.
-      if (obs != nullptr && obs->CheckBudget()) break;
-      run_sweep(b, &scratch);
-    }
-  } else {
-    // Sweeps are independent; the frontier scheduler only redistributes
-    // *which worker* fills which slot. Each worker allocates its scratch
-    // on its first sweep.
-    db.Finalize();  // The lazy CSR build is not thread-safe; do it up front.
-    std::vector<std::optional<SweepScratch>> scratch(
-        std::min(static_cast<size_t>(threads), num_sweeps));
-    FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
-    scheduler.Execute(num_sweeps, [&](size_t b, int worker) {
-      // Same per-sweep poll as the sequential loop; once the budget trips,
-      // remaining sweeps fall through without running.
-      if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
-      std::optional<SweepScratch>& mine = scratch[worker];
-      if (!mine.has_value()) mine.emplace(num_states, n);
-      run_sweep(b, &*mine);
-    });
+  return RunSweeps(
+      db, n, /*row_width=*/2, num_threads, obs,
+      [&](obs::MetricsShard* shard) -> SweepFn {
+        return [&, shard, scratch = SweepScratch(num_states, n)](
+                   uint64_t first, size_t width,
+                   std::vector<VertexId>* rows) mutable {
+          obs::Add(shard, obs::CounterId::kRpqBfsRuns);
+          obs::Add(shard, obs::CounterId::kVisitedBytes, width * source_bytes);
+          *rows = Sweep(db, automaton, static_cast<VertexId>(first), width,
+                        &scratch, shard);
+          return Status::OK();
+        };
+      });
+}
+
+ReachMemo& ReachMemo::Global() {
+  static ReachMemo* memo = new ReachMemo();
+  return *memo;
+}
+
+Result<ReachMemo::Rows> RpqReachAllCached(const GraphDb& db,
+                                          const InternedNfa& lang,
+                                          int num_threads, obs::Session* obs) {
+  obs::MetricsShard* shard =
+      obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
+  ReachMemo& memo = ReachMemo::Global();
+  // The epoch names the graph contents for this whole evaluation: the
+  // single-writer contract (no mutation interleaving with reads) is
+  // already required by the CSR layer, so it cannot go stale mid-call.
+  const ReachMemoKey key{db.graph_id(), lang.unique_id};
+  const uint64_t epoch = db.graph_epoch();
+  if (std::optional<ReachMemo::Rows> hit = memo.Lookup(key, epoch, shard)) {
+    return *std::move(hit);
   }
-  // Slots concatenated in sweep order: byte-identical for any pool size.
-  size_t num_values = 0;
-  for (const std::vector<VertexId>& block : per_sweep) {
-    num_values += block.size();
-  }
-  std::vector<VertexId> rows;
-  rows.reserve(num_values);
-  for (const std::vector<VertexId>& block : per_sweep) {
-    rows.insert(rows.end(), block.begin(), block.end());
-  }
+  ECRPQ_ASSIGN_OR_RAISE(std::vector<VertexId> built,
+                        RpqReachAll(db, *lang.nfa, num_threads, obs));
+  ReachMemo::Rows rows =
+      std::make_shared<const std::vector<VertexId>>(std::move(built));
+  memo.Insert(key, epoch, rows, shard);
   return rows;
 }
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <optional>
 #include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
-#include "common/worklist.h"
 
 namespace ecrpq {
 namespace {
@@ -30,15 +27,6 @@ constexpr size_t kBudgetCheckStride = 1024;
 size_t SparseStateBytes(size_t coded_words) {
   return coded_words * sizeof(uint32_t) + 64;
 }
-
-// A sweep searches from one machine word of source tuples at once: bit i
-// of a product state's word stands for the sweep's i-th source tuple.
-constexpr size_t kSweepWidth = 64;
-
-// Sweeps handed to the scheduler at a time. Rows are kept per sweep until
-// their round is appended, so this bounds the memory of a build over many
-// source tuples.
-constexpr size_t kSweepsPerRound = 1024;
 
 // Reach sweeps only when the (tuple, mask) part of a code fits in this many
 // bits, which leaves 32 bits for the uint32 machine ids: a one-tuple sweep
@@ -314,14 +302,13 @@ SweepOutcome TupleSweep(const GraphDb& db, JoinMachine* machine,
 // Appends to *rows the rows of R'_C that a finished sweep over the `width`
 // source tuples from `first` left in s.targets, keeping those whose
 // coinciding positions agree, and records one reach_set_size sample per
-// source tuple. Returns the number of rows appended.
-size_t AppendRows(const TupleCoding& coding, std::span<const int> same_as,
-                  uint64_t first, size_t width, const TupleSweepScratch& s,
-                  std::vector<VertexId>* rows, obs::MetricsShard* shard) {
+// source tuple.
+void AppendRows(const TupleCoding& coding, std::span<const int> same_as,
+                uint64_t first, size_t width, const TupleSweepScratch& s,
+                std::vector<VertexId>* rows, obs::MetricsShard* shard) {
   const int r = coding.r;
   std::array<uint64_t, kSweepWidth> reach_set_size{};
   std::vector<VertexId> row(2 * r);
-  size_t kept = 0;
   for (const auto& [target, tuples] : s.targets) {
     for (int i = 0; i < r; ++i) row[2 * i + 1] = coding.Digit(target, i);
     for (uint64_t word = tuples; word != 0; word &= word - 1) {
@@ -336,13 +323,11 @@ size_t AppendRows(const TupleCoding& coding, std::span<const int> same_as,
       }
       if (!coincides) continue;
       rows->insert(rows->end(), row.begin(), row.end());
-      ++kept;
     }
   }
   for (size_t i = 0; i < width; ++i) {
     obs::Record(shard, obs::HistogramId::kReachSetSize, reach_set_size[i]);
   }
-  return kept;
 }
 
 }  // namespace
@@ -636,72 +621,27 @@ Result<std::vector<VertexId>> TupleReachAll(const GraphDb& db,
     return Status::CapacityExceeded(
         "product-state code of this component does not fit in 64 bits");
   }
-  std::vector<VertexId> rows;
-  const uint64_t num_tuples = coding->power[r];
-  if (num_tuples == 0) return rows;
-
-  obs::MetricsShard* shard =
-      obs != nullptr ? obs->metrics().AcquireShard() : nullptr;
-  const uint64_t num_sweeps = (num_tuples + kSweepWidth - 1) / kSweepWidth;
-  const int threads = ThreadPool::ResolveNumThreads(num_threads);
-  const bool parallel = threads > 1 && num_sweeps > 1;
-  if (parallel) db.Finalize();  // The lazy CSR build is not thread-safe.
-  // Each worker sweeps with its own machine copy (the machine's caches are
-  // single-owner) and its own scratch.
-  struct Worker {
-    explicit Worker(const JoinMachine& prototype) : machine(prototype) {}
-    JoinMachine machine;
-    TupleSweepScratch scratch;
-  };
-  std::vector<std::optional<Worker>> workers(
-      parallel ? static_cast<size_t>(threads) : 1);
-  std::atomic<bool> id_overflow{false};
-  auto run_sweep = [&](uint64_t b, int worker, std::vector<VertexId>* out) {
-    if (id_overflow.load(std::memory_order_relaxed)) return;
-    if (obs != nullptr && (obs->Exhausted() || obs->CheckBudget())) return;
-    std::optional<Worker>& mine = workers[worker];
-    if (!mine.has_value()) mine.emplace(machine);
-    const uint64_t first = b * kSweepWidth;
-    const size_t width = static_cast<size_t>(
-        std::min<uint64_t>(kSweepWidth, num_tuples - first));
-    obs::ScopedTimer sweep_timer(shard, obs::HistogramId::kPhaseBfsNs);
-    const SweepOutcome outcome = TupleSweep(
-        db, &mine->machine, *coding, first, width, &mine->scratch, shard, obs);
-    if (outcome.id_overflow) {
-      id_overflow.store(true, std::memory_order_relaxed);
-    }
-    if (outcome.stopped) return;
-    obs::Add(shard, obs::CounterId::kTuplesMaterialized,
-             AppendRows(*coding, same_as, first, width, mine->scratch, out,
-                        shard));
-  };
-  for (uint64_t round = 0; round < num_sweeps; round += kSweepsPerRound) {
-    const size_t in_round = static_cast<size_t>(
-        std::min<uint64_t>(kSweepsPerRound, num_sweeps - round));
-    if (!parallel) {
-      for (size_t b = 0; b < in_round; ++b) run_sweep(round + b, 0, &rows);
-    } else {
-      // Sweeps are independent; the scheduler only decides which worker
-      // fills which slot, and the slots are appended in sweep order.
-      std::vector<std::vector<VertexId>> per_sweep(in_round);
-      FrontierScheduler scheduler(ThreadPool::Shared(threads), shard);
-      scheduler.Execute(in_round, [&](size_t b, int worker) {
-        run_sweep(round + b, worker, &per_sweep[b]);
+  return RunSweeps(
+      db, coding->power[r], /*row_width=*/2 * static_cast<size_t>(r),
+      num_threads, obs, [&](obs::MetricsShard* shard) -> SweepFn {
+        // Each worker sweeps with its own machine copy (the machine's
+        // caches are single-owner) and its own scratch.
+        return [&, shard, own = machine, scratch = TupleSweepScratch()](
+                   uint64_t first, size_t width,
+                   std::vector<VertexId>* rows) mutable -> Status {
+          const SweepOutcome outcome = TupleSweep(
+              db, &own, *coding, first, width, &scratch, shard, obs);
+          if (outcome.id_overflow) {
+            return Status::CapacityExceeded(
+                "join machine outgrew the product-state code of this "
+                "component");
+          }
+          if (!outcome.stopped) {
+            AppendRows(*coding, same_as, first, width, scratch, rows, shard);
+          }
+          return Status::OK();
+        };
       });
-      for (const std::vector<VertexId>& block : per_sweep) {
-        rows.insert(rows.end(), block.begin(), block.end());
-      }
-    }
-    if (id_overflow.load() || (obs != nullptr && obs->Exhausted())) break;
-  }
-  if (id_overflow.load()) {
-    return Status::CapacityExceeded(
-        "join machine outgrew the product-state code of this component");
-  }
-  // Final check, as in EvaluateGeneric: totals that the last sweep pushed
-  // over the budget between polls still surface as ResourceExhausted.
-  if (obs != nullptr && obs->CheckBudget()) return obs->ExhaustedStatus();
-  return rows;
 }
 
 }  // namespace ecrpq

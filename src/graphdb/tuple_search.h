@@ -18,10 +18,10 @@
 // state holds a word of the source tuples that reached it.
 //  - TupleReachAll builds Lemma 4.3's whole component relation over all
 //    |V|^r source tuples in sweeps of 64 tuples, the r-tape form of
-//    RpqReachAll's multi-source BFS (graphdb/rpq_reach.h);
+//    RpqReachAll's multi-source BFS, on the same sweep driver (RunSweeps,
+//    graphdb/rpq_reach.h);
 //  - TupleSearcher::Reach is the one-tuple sweep, memoized per source
-//    tuple — the generic engine's lookups — the way RpqReachFrom is the
-//    one-source case of RpqReachAll.
+//    tuple — the generic engine's lookups.
 // The sparse search (hash-interned states with parent pointers) remains
 // for witness paths, and for Reach on inputs whose (tuple, mask) code
 // needs more than 32 bits.
@@ -176,24 +176,22 @@ class TupleSearcher {
 // masks and accepting ids before it emits a row, so each (ū, v̄) appears
 // once.
 //
-// Sweeps run on a FrontierScheduler over `num_threads` workers (0 =
-// ECRPQ_THREADS / hardware default; at most 1, or a single sweep, runs on
-// the caller's thread). Each worker works on its own copy of `machine` and
-// its own scratch, allocated on its first sweep and reset sparsely between
-// sweeps; rows are concatenated in sweep order, so the result is identical
-// for every pool size.
+// Sweeps run on RunSweeps (graphdb/rpq_reach.h) over `num_threads` workers
+// (0 = ECRPQ_THREADS / hardware default), which concatenates their rows in
+// sweep order, so the result is identical for every pool size. Each worker
+// works on its own copy of `machine` and its own scratch, made on its first
+// sweep and reset sparsely between sweeps. A machine id that outgrows the
+// coding ends the build with CapacityExceeded.
 //
-// With a non-null `obs` session: product_states_expanded is charged the
-// popcount of the new bits at each discovery (per relation, the sum of
-// what one search per source tuple would intern), visited_bytes the scratch
-// bytes each sweep's reached states take, tuples_materialized the rows
-// returned, one reach_set_size sample per source tuple (its accepting
-// target tuples, before same_as), one phase_bfs_ns sample per sweep and its
-// frontier_occupancy per level. CheckBudget() is polled before each sweep
-// and every 1024 expanded states inside one, and once more at the end;
-// after a trip the remaining sweeps are skipped and the call returns the
-// session's ResourceExhausted, so rows come back only when every total is
-// within the budget.
+// With a non-null `obs` session: besides what RunSweeps records,
+// product_states_expanded is charged the popcount of the new bits at each
+// discovery (per relation, the sum of what one search per source tuple
+// would intern), visited_bytes the scratch bytes each sweep's reached
+// states take, one reach_set_size sample per source tuple (its accepting
+// target tuples, before same_as) and each sweep's frontier_occupancy per
+// level. Besides RunSweeps' polls, a sweep polls CheckBudget() every 1024
+// expanded states; a trip returns the session's ResourceExhausted, so rows
+// come back only when every total is within the budget.
 Result<std::vector<VertexId>> TupleReachAll(const GraphDb& db,
                                             const JoinMachine& machine,
                                             std::span<const int> same_as,

@@ -263,14 +263,14 @@ TEST(ReachMemoTest, StaleEpochEntryIsNeverReturnedAfterMutation) {
   const InternedNfa interned = interner.Intern(lang);
 
   ReachMemo::Global().Clear();
-  const std::vector<VertexId> before = *RpqReachAllCached(db, interned);
-  EXPECT_EQ(before, RpqReachAll(db, lang));
+  const std::vector<VertexId> before = **RpqReachAllCached(db, interned);
+  EXPECT_EQ(before, *RpqReachAll(db, lang));
 
   // Extend reachability: 2 -a-> 3. A stale pre-mutation relation would
   // miss (0,3), (1,3), (2,3).
   db.AddEdge(2, static_cast<Symbol>(0), 3);
-  const std::vector<VertexId> after = *RpqReachAllCached(db, interned);
-  EXPECT_EQ(after, RpqReachAll(db, lang));
+  const std::vector<VertexId> after = **RpqReachAllCached(db, interned);
+  EXPECT_EQ(after, *RpqReachAll(db, lang));
   EXPECT_NE(after, before);
 }
 
@@ -283,11 +283,11 @@ TEST(ReachMemoTest, WarmLookupServesFromMemo) {
 
   ReachMemo& memo = ReachMemo::Global();
   memo.Clear();
-  const ReachMemo::Rows cold = RpqReachAllCached(db, interned);
-  EXPECT_EQ(*cold, RpqReachAll(db, lang));
+  const ReachMemo::Rows cold = *RpqReachAllCached(db, interned);
+  EXPECT_EQ(*cold, *RpqReachAll(db, lang));
   EXPECT_EQ(memo.NumEntries(), 1u);  // The whole relation, one entry.
   const uint64_t lookups = memo.cache().GetStats().hits;
-  const ReachMemo::Rows warm = RpqReachAllCached(db, interned);
+  const ReachMemo::Rows warm = *RpqReachAllCached(db, interned);
   EXPECT_EQ(warm.get(), cold.get());  // The same rows, not a copy.
   EXPECT_EQ(memo.cache().GetStats().hits, lookups + 1);  // One lookup.
   EXPECT_EQ(memo.NumEntries(), 1u);  // No re-insert.
@@ -296,10 +296,10 @@ TEST(ReachMemoTest, WarmLookupServesFromMemo) {
   // same language after a mutation replaces its slot.
   const InternedNfa other =
       interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
-  RpqReachAllCached(db, other);
+  ASSERT_TRUE(RpqReachAllCached(db, other).ok());
   EXPECT_EQ(memo.NumEntries(), 2u);
   db.AddVertex();
-  RpqReachAllCached(db, interned);
+  ASSERT_TRUE(RpqReachAllCached(db, interned).ok());
   EXPECT_EQ(memo.NumEntries(), 2u);
 }
 
@@ -311,7 +311,7 @@ TEST(ReachMemoTest, StaleEpochLookupIsAMiss) {
       interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
   ReachMemo& memo = ReachMemo::Global();
   memo.Clear();
-  RpqReachAllCached(db, interned);
+  ASSERT_TRUE(RpqReachAllCached(db, interned).ok());
   const ReachMemoKey key{db.graph_id(), interned.unique_id};
   ASSERT_TRUE(memo.Lookup(key, db.graph_epoch()).has_value());
 
@@ -331,7 +331,8 @@ TEST(ReachMemoTest, StaleEpochLookupIsAMiss) {
   EXPECT_EQ(memo.NumEntries(), 1u);
 
   // The rebuild replaces the slot.
-  EXPECT_EQ(*RpqReachAllCached(db, interned), RpqReachAll(db, *interned.nfa));
+  EXPECT_EQ(**RpqReachAllCached(db, interned),
+            *RpqReachAll(db, *interned.nfa));
   EXPECT_EQ(memo.NumEntries(), 1u);
   EXPECT_TRUE(memo.Lookup(key, db.graph_epoch()).has_value());
 }
@@ -400,7 +401,7 @@ TEST(ReachMemoTest, EntryIsChargedItsRowBytes) {
   const InternedNfa interned =
       interner.Intern(CompileRegex("a*", &alphabet).ValueOrDie());
   ReachMemo::Global().Clear();
-  const ReachMemo::Rows rows = RpqReachAllCached(db, interned);
+  const ReachMemo::Rows rows = *RpqReachAllCached(db, interned);
   ASSERT_EQ(rows->size(), 2u * 16 * 16);  // Every pair of the cycle.
   EXPECT_EQ(rows->capacity(), rows->size());
   EXPECT_EQ(ReachMemo::Global().SizeBytes(),
@@ -413,36 +414,44 @@ TEST(ReachMemoTest, BudgetTripPublishesNothing) {
   // sweeps of 64 sources.
   const GraphDb db = CycleGraph(512, "ab");
   Alphabet alphabet = Alphabet::OfChars("ab");
-  const Nfa lang = CompileRegex("(a|b)*", &alphabet).ValueOrDie();
   AutomatonInterner interner;
-  const InternedNfa interned = interner.Intern(lang);
-  const std::vector<VertexId> full = RpqReachAll(db, lang);
+  const InternedNfa interned =
+      interner.Intern(CompileRegex("(a|b)*", &alphabet).ValueOrDie());
+  const InternedNfa other =
+      interner.Intern(CompileRegex("a", &alphabet).ValueOrDie());
+  const std::vector<VertexId> full = *RpqReachAll(db, *interned.nfa);
 
   for (int threads : {1, 4}) {
     ReachMemo& memo = ReachMemo::Global();
     memo.Clear();
-    RpqReachAllCached(db, interner.Intern(CompileRegex("a", &alphabet)
-                                              .ValueOrDie()));
+    ASSERT_TRUE(RpqReachAllCached(db, other).ok());
     const size_t entries = memo.NumEntries();
 
     // Each sweep charges one |V|·|Q|-bit visited set per source; the cap
     // admits two sweeps, so the poll before the third trips inside the
-    // build. At 4 threads at most five sweeps pass their poll before the
-    // charges reach the cap (two charged, three in flight), so some of the
-    // eight are always skipped.
-    obs::Session capped;
+    // build. A build that trips returns ResourceExhausted, never rows,
+    // whether it runs through the memo or on its own.
     obs::EvalBudget budget;
     budget.max_memory_bytes =
         2 * 64 * ((512 * interned.nfa->NumStates() + 7) / 8);
+    obs::Session capped;
     capped.SetBudget(budget);
-    const ReachMemo::Rows partial =
+    const Result<ReachMemo::Rows> cached =
         RpqReachAllCached(db, interned, threads, &capped);
-    ASSERT_TRUE(capped.Exhausted()) << threads << " threads";
-    EXPECT_LT(partial->size(), full.size()) << threads << " threads";
+    ASSERT_FALSE(cached.ok()) << threads << " threads";
+    EXPECT_EQ(cached.status().code(), StatusCode::kResourceExhausted)
+        << threads << " threads";
     EXPECT_EQ(memo.NumEntries(), entries) << threads << " threads";
+    obs::Session direct_session;
+    direct_session.SetBudget(budget);
+    const Result<std::vector<VertexId>> direct =
+        RpqReachAll(db, *interned.nfa, threads, &direct_session);
+    ASSERT_FALSE(direct.ok()) << threads << " threads";
+    EXPECT_EQ(direct.status().code(), StatusCode::kResourceExhausted)
+        << threads << " threads";
 
     // The next uncapped query builds and serves the whole relation.
-    EXPECT_EQ(*RpqReachAllCached(db, interned, threads), full)
+    EXPECT_EQ(**RpqReachAllCached(db, interned, threads), full)
         << threads << " threads";
     EXPECT_EQ(memo.NumEntries(), entries + 1) << threads << " threads";
   }
@@ -500,14 +509,14 @@ TEST(ReachMemoTest, MovedFromGraphStopsServingTheOldIdentity) {
   AutomatonInterner interner;
   const InternedNfa interned = interner.Intern(lang);
   ReachMemo::Global().Clear();
-  const std::vector<VertexId> original = *RpqReachAllCached(db, interned);
+  const std::vector<VertexId> original = **RpqReachAllCached(db, interned);
   const uint64_t original_id = db.graph_id();
 
   // Move steals the identity: the stolen graph keeps serving the warm
   // memo entry (it IS the same snapshot)...
   GraphDb stolen = std::move(db);
   EXPECT_EQ(stolen.graph_id(), original_id);
-  EXPECT_EQ(*RpqReachAllCached(stolen, interned), original);
+  EXPECT_EQ(**RpqReachAllCached(stolen, interned), original);
 
   // ...while the moved-from shell holds a FRESH id at epoch 0. This is
   // the load-bearing half: if the shell retained (id, epoch), whatever
@@ -524,8 +533,8 @@ TEST(ReachMemoTest, MovedFromGraphStopsServingTheOldIdentity) {
   rebuilt.AddEdge(0, static_cast<Symbol>(1), 1);
   rebuilt.AddEdge(1, static_cast<Symbol>(1), 2);
   db = std::move(rebuilt);
-  EXPECT_EQ(*RpqReachAllCached(db, interned), RpqReachAll(db, lang));
-  EXPECT_NE(*RpqReachAllCached(db, interned), original);
+  EXPECT_EQ(**RpqReachAllCached(db, interned), *RpqReachAll(db, lang));
+  EXPECT_NE(**RpqReachAllCached(db, interned), original);
 }
 
 TEST(PlanCacheTest, AlphaRenamedQueriesShareOneEntry) {

@@ -130,12 +130,19 @@ TEST(CqTreeDecTest, StatsReportWidth) {
   CqQuery q;
   q.num_vars = 4;
   q.atoms = {{"E", {0, 1}}, {"E", {1, 2}}, {"E", {2, 3}}};
-  TreeDecEvalStats stats;
-  Result<CqEvalResult> r = CqEvaluateTreeDec(db, q, {}, &stats);
+  obs::Session session;
+  CqEvalOptions options;
+  options.obs = &session;
+  Result<CqEvalResult> r = CqEvaluateTreeDec(db, q, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->satisfiable);
-  EXPECT_LE(stats.width_used, 2);
-  EXPECT_GT(stats.bag_tuples_materialized, 0u);
+  // The width is the widest bag's size minus one.
+  const obs::StatsReport report = session.Report();
+  const obs::HistogramData& bag_width =
+      report.hist(obs::HistogramId::kBagWidth);
+  ASSERT_FALSE(bag_width.Empty());
+  EXPECT_LE(bag_width.max - 1, 2u);
+  EXPECT_GT(report[obs::CounterId::kBagTuplesMaterialized], 0u);
 }
 
 // A Lemma 4.3 reduction's CQ has one 2r-clique atom per component. Its
@@ -163,11 +170,13 @@ TEST(CqTreeDecTest, LemmaFourThreeBagsAreTheRelations) {
       rows += reduction->db->Find(atom.relation)->NumTuples();
     }
     ASSERT_GT(rows, 0u);
-    TreeDecEvalStats stats;
+    obs::Session session;
+    CqEvalOptions options;
+    options.obs = &session;
     Result<CqEvalResult> r =
-        CqEvaluateTreeDec(*reduction->db, reduction->query, {}, &stats);
+        CqEvaluateTreeDec(*reduction->db, reduction->query, options);
     ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(stats.bag_tuples_materialized, rows);
+    EXPECT_EQ(session.Report()[obs::CounterId::kBagTuplesMaterialized], rows);
   }
 }
 

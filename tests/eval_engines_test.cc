@@ -257,7 +257,7 @@ TEST(ReduceToCqTest, OneTapeComponentsAreReachRelations) {
                            query.reach_atoms()[0].to;
     Alphabet alphabet = kAb;
     const std::vector<VertexId> reach =
-        RpqReachAll(db, CompileRegex(c.language, &alphabet).ValueOrDie());
+        *RpqReachAll(db, CompileRegex(c.language, &alphabet).ValueOrDie());
     std::vector<VertexId> expected;
     for (size_t row = 0; row < reach.size(); row += 2) {
       if (!self_loop || reach[row] == reach[row + 1]) {

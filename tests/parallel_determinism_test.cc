@@ -291,9 +291,9 @@ TEST(ParallelDeterminismTest, RpqReachAllAnyPoolSize) {
   Alphabet alphabet = Alphabet::OfChars("ab");
   Result<Nfa> lang = CompileRegex("a(a|b)*b", &alphabet);
   ASSERT_TRUE(lang.ok()) << lang.status();
-  const std::vector<VertexId> seq = RpqReachAll(db, *lang, 1);
-  EXPECT_EQ(seq, RpqReachAll(db, *lang, 2));
-  EXPECT_EQ(seq, RpqReachAll(db, *lang, 4));
+  const std::vector<VertexId> seq = *RpqReachAll(db, *lang, 1);
+  EXPECT_EQ(seq, *RpqReachAll(db, *lang, 2));
+  EXPECT_EQ(seq, *RpqReachAll(db, *lang, 4));
   // Row-major (u, v) pairs, strictly ascending: sorted and duplicate-free.
   ASSERT_EQ(seq.size() % 2, 0u);
   for (size_t i = 2; i < seq.size(); i += 2) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <tuple>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "automata/regex.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "graphdb/generators.h"
 #include "graphdb/rpq_reach.h"
@@ -21,24 +23,42 @@ Nfa Compile(std::string_view pattern, Alphabet* alphabet) {
   return std::move(nfa).ValueOrDie();
 }
 
+// RpqReachAll's rows; an error fails the test and gives no rows.
+std::vector<VertexId> ReachAll(const GraphDb& db, const Nfa& lang,
+                               int num_threads = 0) {
+  Result<std::vector<VertexId>> rows = RpqReachAll(db, lang, num_threads);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  return rows.ok() ? std::move(rows).ValueOrDie() : std::vector<VertexId>{};
+}
+
+// Source u's block of the row-major (u, v) rows: its targets, in order.
+std::vector<VertexId> TargetsOf(const std::vector<VertexId>& rows,
+                                VertexId u) {
+  std::vector<VertexId> targets;
+  for (size_t i = 0; i < rows.size(); i += 2) {
+    if (rows[i] == u) targets.push_back(rows[i + 1]);
+  }
+  return targets;
+}
+
 TEST(RpqReachTest, SingleSourceOnPath) {
   // Path a a a a: from vertex 0, language a* reaches everything; language
   // aa reaches exactly vertex 2.
   const GraphDb db = PathGraph(5, "a");
   Alphabet alphabet = Alphabet::OfChars("a");
   const Nfa astar = Compile("a*", &alphabet);
-  EXPECT_EQ(RpqReachFrom(db, astar, 0),
+  EXPECT_EQ(TargetsOf(ReachAll(db, astar), 0),
             (std::vector<VertexId>{0, 1, 2, 3, 4}));
-  const Nfa aa = Compile("aa", &alphabet);
-  EXPECT_EQ(RpqReachFrom(db, aa, 0), (std::vector<VertexId>{2}));
-  EXPECT_EQ(RpqReachFrom(db, aa, 3), (std::vector<VertexId>{}));
+  const std::vector<VertexId> aa = ReachAll(db, Compile("aa", &alphabet));
+  EXPECT_EQ(TargetsOf(aa, 0), (std::vector<VertexId>{2}));
+  EXPECT_EQ(TargetsOf(aa, 3), (std::vector<VertexId>{}));
 }
 
 TEST(RpqReachTest, EmptyPathMatchesEpsilonLanguage) {
   const GraphDb db = PathGraph(3, "a");
   Alphabet alphabet = Alphabet::OfChars("a");
   const Nfa eps = Compile("", &alphabet);
-  EXPECT_EQ(RpqReachFrom(db, eps, 1), (std::vector<VertexId>{1}));
+  EXPECT_EQ(TargetsOf(ReachAll(db, eps), 1), (std::vector<VertexId>{1}));
 }
 
 TEST(RpqReachTest, AlternatingLabelsOnCycle) {
@@ -46,15 +66,18 @@ TEST(RpqReachTest, AlternatingLabelsOnCycle) {
   const GraphDb db = CycleGraph(4, "ab");
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa abstar = Compile("(ab)*", &alphabet);
-  EXPECT_EQ(RpqReachFrom(db, abstar, 0), (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(TargetsOf(ReachAll(db, abstar), 0),
+            (std::vector<VertexId>{0, 2}));
 }
 
 TEST(RpqReachTest, ReachAllMatchesPerSource) {
+  // Each source's block of the rows holds exactly the targets the witness
+  // search, an independent 0/1-BFS, finds a path to.
   Rng rng(10);
   const GraphDb db = RandomGraph(&rng, 15, 2.0, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = Compile("a(a|b)*b", &alphabet);
-  const std::vector<VertexId> rows = RpqReachAll(db, lang);
+  const std::vector<VertexId> rows = ReachAll(db, lang);
   ASSERT_EQ(rows.size() % 2, 0u);
   std::set<std::pair<VertexId, VertexId>> all;
   for (size_t i = 0; i < rows.size(); i += 2) {
@@ -62,12 +85,12 @@ TEST(RpqReachTest, ReachAllMatchesPerSource) {
   }
   EXPECT_EQ(all.size() * 2, rows.size());  // No duplicate rows.
   for (VertexId u = 0; u < 15; ++u) {
-    const auto from_u = RpqReachFrom(db, lang, u);
+    const std::vector<VertexId> from_u = TargetsOf(rows, u);
     for (VertexId v = 0; v < 15; ++v) {
-      const bool in_all = all.count({u, v}) > 0;
       const bool in_from =
           std::find(from_u.begin(), from_u.end(), v) != from_u.end();
-      ASSERT_EQ(in_all, in_from) << u << " -> " << v;
+      ASSERT_EQ(in_from, RpqWitnessPath(db, lang, u, v).has_value())
+          << u << " -> " << v;
     }
   }
 }
@@ -76,15 +99,16 @@ TEST(RpqReachTest, DenseGraphMatchesWitnessOracle) {
   // A dense random graph with a permissive language saturates the product
   // space within a couple of levels, so most states are reached along many
   // paths at once. Correctness cross-check: the witness search runs a
-  // separate sparse 0/1-BFS, so agreement between RpqReachFrom and
-  // RpqWitnessPath.has_value() checks the sweep against an independent
-  // traversal.
+  // separate sparse 0/1-BFS, so agreement between each source's block of
+  // RpqReachAll's rows and RpqWitnessPath.has_value() checks the sweep
+  // against an independent traversal.
   Rng rng(77);
   const GraphDb db = RandomGraph(&rng, 24, 6.0, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = Compile("(a|b)*", &alphabet);
+  const std::vector<VertexId> rows = ReachAll(db, lang);
   for (VertexId u = 0; u < 24; ++u) {
-    const std::vector<VertexId> reached = RpqReachFrom(db, lang, u);
+    const std::vector<VertexId> reached = TargetsOf(rows, u);
     for (VertexId v = 0; v < 24; ++v) {
       const bool in_reach =
           std::find(reached.begin(), reached.end(), v) != reached.end();
@@ -155,7 +179,7 @@ TEST(RpqReachTest, SweepBoundariesMatchWitnessOracle) {
         ASSERT_EQ(expected.size(), 2 * num_vertices) << n << " vertices";
       }
       for (int threads : {1, 2, 4}) {
-        const std::vector<VertexId> rows = RpqReachAll(db, langs[l], threads);
+        const std::vector<VertexId> rows = ReachAll(db, langs[l], threads);
         EXPECT_EQ(rows, expected)
             << n << " vertices, language " << l << ", " << threads
             << " threads";
@@ -170,14 +194,74 @@ TEST(RpqReachTest, SweepBoundariesMatchWitnessOracle) {
   }
 }
 
+// The sweep driver with a stand-in kernel whose rows are its sources, one
+// value each: 1026 sweeps are two rounds, the second a partial one.
+TEST(RpqReachTest, DriverAppendsRoundsInSweepOrder) {
+  const GraphDb db = PathGraph(2, "a");
+  const uint64_t num_sources = (kSweepsPerRound + 2) * kSweepWidth - 5;
+  const uint64_t num_sweeps = (num_sources + kSweepWidth - 1) / kSweepWidth;
+  for (int threads : {1, 4}) {
+    obs::Session session;
+    std::atomic<int> workers_made{0};
+    Result<std::vector<VertexId>> rows = RunSweeps(
+        db, num_sources, /*row_width=*/1, threads, &session,
+        [&](obs::MetricsShard*) -> SweepFn {
+          ++workers_made;
+          return [](uint64_t first, size_t width,
+                    std::vector<VertexId>* out) {
+            for (size_t i = 0; i < width; ++i) {
+              out->push_back(static_cast<VertexId>(first + i));
+            }
+            return Status::OK();
+          };
+        });
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    ASSERT_EQ(rows->size(), num_sources) << threads << " threads";
+    for (uint64_t i = 0; i < num_sources; ++i) {
+      ASSERT_EQ((*rows)[i], i) << threads << " threads";
+    }
+    EXPECT_EQ(rows->capacity(), rows->size()) << threads << " threads";
+    EXPECT_GE(workers_made.load(), 1) << threads << " threads";
+    EXPECT_LE(workers_made.load(), threads) << threads << " threads";
+    const obs::StatsReport report = session.Report();
+    EXPECT_EQ(report[obs::CounterId::kTuplesMaterialized], num_sources);
+    EXPECT_EQ(report.hist(obs::HistogramId::kPhaseBfsNs).Count(), num_sweeps);
+  }
+}
+
+// A kernel error ends the build, and wins over the budget trip that the
+// failing sweep's own charge causes. The first sweep to poll sees nothing
+// charged, so some sweep always runs and fails.
+TEST(RpqReachTest, DriverKernelErrorBeatsBudgetTrip) {
+  const GraphDb db = PathGraph(2, "a");
+  for (int threads : {1, 4}) {
+    obs::Session session;
+    obs::EvalBudget budget;
+    budget.max_product_states = 1;
+    session.SetBudget(budget);
+    Result<std::vector<VertexId>> rows = RunSweeps(
+        db, 8 * kSweepWidth, /*row_width=*/1, threads, &session,
+        [](obs::MetricsShard* shard) -> SweepFn {
+          return [shard](uint64_t, size_t, std::vector<VertexId>*) {
+            obs::Add(shard, obs::CounterId::kProductStatesExpanded, 10);
+            return Status::CapacityExceeded("the sweep fails");
+          };
+        });
+    ASSERT_FALSE(rows.ok()) << threads << " threads";
+    EXPECT_EQ(rows.status().code(), StatusCode::kCapacityExceeded)
+        << threads << " threads";
+  }
+}
+
 TEST(RpqReachTest, WitnessPathIsValidAndInLanguage) {
   Rng rng(11);
   const GraphDb db = RandomGraph(&rng, 12, 2.5, 2);
   Alphabet alphabet = Alphabet::OfChars("ab");
   const Nfa lang = Compile("(a|b)*ab", &alphabet);
+  const std::vector<VertexId> rows = ReachAll(db, lang);
   int found = 0;
   for (VertexId u = 0; u < 12; ++u) {
-    for (VertexId v : RpqReachFrom(db, lang, u)) {
+    for (VertexId v : TargetsOf(rows, u)) {
       const auto path = RpqWitnessPath(db, lang, u, v);
       ASSERT_TRUE(path.has_value()) << u << " -> " << v;
       // Path is connected, starts at u, ends at v, uses real edges.

@@ -148,6 +148,23 @@ eval_answers auto "$ONE_TAPE_QUERY" \
 build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$ONE_TAPE_QUERY" \
   --no-cache | sed -n '/^satisfiable:/,$p' \
   | diff "$OBS_TMP/answers-generic-1tape.out" -
+# count and eval share one bag pipeline (MaterializeBags, cq/eval_treedec.h):
+# on a query whose head lists every node variable, the satisfying node
+# assignments count prints are eval's answers, so the two numbers agree.
+count_matches_eval() {  # count_matches_eval <engine> <query>
+  COUNT=$(build/tools/ecrpq_cli count "$OBS_TMP/graph.txt" "$2" \
+    | sed -n 's/^\([0-9]*\) satisfying node assignments$/\1/p')
+  ANSWERS=$(build/tools/ecrpq_cli eval "$OBS_TMP/graph.txt" "$2" \
+    --engine="$1" | sed -n 's/^\([0-9]*\) answers:$/\1/p')
+  if [ -z "$COUNT" ] || [ "$COUNT" != "$ANSWERS" ]; then
+    echo "obs smoke: count printed '$COUNT' assignments but eval" \
+      "--engine=$1 printed '$ANSWERS' answers for $2" >&2
+    exit 1
+  fi
+}
+count_matches_eval cq 'q(x, y, z) := x -[p1]-> y, y -[p2]-> z, eqlen(p1, p2)'
+count_matches_eval crpq \
+  'q(x, y, z) := x -[/aa/]-> y, y -[/a*/]-> z, z -[/a/]-> x'
 # A starved budget: eval must exit 3 (ResourceExhausted) and still print
 # the partial stats report. --engine=cq checks the budget after every
 # materialization batch, so a 1-state budget trips deterministically; so

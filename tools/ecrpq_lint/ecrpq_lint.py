@@ -81,7 +81,6 @@ import sys
 ENGINE_FILES = [
     "src/graphdb/tuple_search.cc",
     "src/graphdb/rpq_reach.cc",
-    "src/graphdb/reach_memo.cc",
     "src/eval/generic_eval.cc",
     "src/eval/reduce_to_cq.cc",
     "src/cq/eval_backtrack.cc",
